@@ -25,7 +25,7 @@ from .config import (
     resolved_config_json,
 )
 from .datasets import CorruptionSpec, write_snapshot_csv
-from .errors import ConfigurationError, IngestionError
+from .errors import AggregationError, ConfigurationError, IngestionError
 from .harness import aggregate_seeds, compute_speedup, run_training, save_run
 from .prioritizers import PrioritizerConfig
 
@@ -98,6 +98,14 @@ def _format_speedup(value) -> str:
     return "-" if value is None else f"{value:.2f}"
 
 
+def _aggregate(runs, where: str):
+    """aggregate_seeds, with the grid cell and variant named in its errors."""
+    try:
+        return aggregate_seeds(runs)
+    except AggregationError as exc:
+        raise AggregationError(f"{where}: {exc}") from None
+
+
 def cmd_benchmark(cfg: BenchmarkConfig, out_dir: Path, threads: int) -> int:
     """Uniform baseline first, then every variant against it, per grid cell."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -119,7 +127,7 @@ def cmd_benchmark(cfg: BenchmarkConfig, out_dir: Path, threads: int) -> int:
             cfg.seeds, cell_dir / "uniform_baseline", threads,
         )
         failed = failed or any(m.diverged for m in base_runs)
-        base_agg = aggregate_seeds(base_runs)
+        base_agg = _aggregate(base_runs, f"{cell} {baseline_cfg.label()}")
 
         for variant in cfg.variants:
             name = variant.label()
@@ -131,7 +139,7 @@ def cmd_benchmark(cfg: BenchmarkConfig, out_dir: Path, threads: int) -> int:
                     cfg.seeds, cell_dir / name, threads,
                 )
                 failed = failed or any(m.diverged for m in runs)
-            report = compute_speedup(base_agg, aggregate_seeds(runs))
+            report = compute_speedup(base_agg, _aggregate(runs, f"{cell} {name}"))
             (cell_dir / name).mkdir(parents=True, exist_ok=True)
             (cell_dir / name / "speedup.json").write_text(report.to_json_line() + "\n")
             summary_rows.append(
@@ -206,7 +214,7 @@ def main(argv=None) -> int:
             out = _resolve_output_dir(args.out, cfg.output_dir, name)
             return cmd_benchmark(cfg, out, max(1, args.threads))
         raise ConfigurationError(f"unknown command {args.command!r}")
-    except (ConfigurationError, IngestionError, FileNotFoundError) as exc:
+    except (ConfigurationError, IngestionError, AggregationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

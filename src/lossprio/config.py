@@ -10,6 +10,7 @@ import dataclasses
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from numbers import Integral, Real
 from pathlib import Path
 
 from .datasets import (
@@ -22,6 +23,28 @@ from .datasets import (
 from .errors import ConfigurationError
 from .model import TrainerConfig
 from .prioritizers import PrioritizerConfig
+
+
+def _convert_each(name: str, convert, values) -> tuple:
+    """tuple(map(convert, values)), with errors naming the field and the entry."""
+    out = []
+    for i, value in enumerate(values):
+        try:
+            out.append(convert(value))
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"{name}[{i}] = {value!r}: {exc}") from None
+    return tuple(out)
+
+
+def _grid_cell(cell) -> tuple[str, float]:
+    if isinstance(cell, dict):
+        cell = (cell.get("kind", "none"), cell.get("fraction", 0.0))
+    kind, fraction = cell
+    return str(kind), float(fraction)
+
+
+# Field annotations (strings here) of the numeric fields checked on input.
+_NUMBER_TYPES = {"int": Integral, "float": Real, "int | None": (Integral, type(None))}
 
 
 @dataclass
@@ -40,6 +63,10 @@ class DatasetConfig:
     limit: int | None = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value, types = getattr(self, f.name), _NUMBER_TYPES.get(f.type)
+            if types and (isinstance(value, bool) or not isinstance(value, types)):
+                raise ConfigurationError(f"{f.name}: expected {f.type}, got {value!r}")
         if self.type not in ("synthetic", "idx"):
             raise ConfigurationError(f"unknown dataset type {self.type!r}")
         if self.type == "idx" and (self.train_images is None or self.test_images is None):
@@ -57,7 +84,7 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", _convert_each("seeds", int, self.seeds))
         if not self.seeds:
             raise ConfigurationError("seeds must not be empty")
         if self.eval_every < 1:
@@ -79,8 +106,8 @@ class BenchmarkConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        grid = tuple((str(k), float(f)) for k, f in self.corruption_grid)
+        object.__setattr__(self, "seeds", _convert_each("seeds", int, self.seeds))
+        grid = _convert_each("corruption_grid", _grid_cell, self.corruption_grid)
         object.__setattr__(self, "corruption_grid", grid)
         if not self.seeds:
             raise ConfigurationError("seeds must not be empty")
@@ -112,9 +139,7 @@ def _build(cls, raw: dict, context: str):
         raise ConfigurationError(f"{context}: unknown keys {sorted(unknown)}")
     try:
         return cls(**raw)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{context}: {exc}") from None
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # ConfigurationError is a ValueError
         raise ConfigurationError(f"{context}: {exc}") from None
 
 
@@ -165,16 +190,8 @@ def benchmark_config_from_dict(raw: dict, context: str = "config") -> BenchmarkC
             _build(PrioritizerConfig, v, f"{context}.variants[{i}]")
             for i, v in enumerate(variants)
         )
-    if "corruption_grid" in raw:
-        grid = raw.pop("corruption_grid")
-        if not isinstance(grid, list):
-            raise ConfigurationError(f"{context}.corruption_grid: expected a list")
-        parts["corruption_grid"] = tuple(
-            (cell.get("kind", "none"), cell.get("fraction", 0.0))
-            if isinstance(cell, dict)
-            else tuple(cell)
-            for cell in grid
-        )
+    if not isinstance(raw.get("corruption_grid", []), list):
+        raise ConfigurationError(f"{context}.corruption_grid: expected a list")
     parts.update(raw)
     return _build(BenchmarkConfig, parts, context)
 

@@ -1,6 +1,7 @@
 """Synthetic and IDX-backed datasets plus the label/pixel corruption transforms.
 
-Corruptions only ever touch the train split and never touch example ids, so
+A dataset is one read-only array per field; an example's id is its row.
+Corruptions only ever touch the train split and record each row's kind, so
 the ground-truth corruption mask stays recoverable for diagnostics after the
 fact.  All randomness flows through seeded generators; the same seed always
 reproduces the same dataset byte for byte.
@@ -13,7 +14,6 @@ import math
 import struct
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +31,12 @@ class CorruptionKind(Enum):
     GAUSSIAN = "gaussian"
 
 
+CORRUPTION_KINDS = tuple(CorruptionKind)  # a row's kind code indexes this tuple
+
+
 @dataclass(frozen=True, eq=False)
 class Example:
-    """One labelled feature vector with its corruption bookkeeping."""
+    """One labelled feature vector: the unit of the corrupt_* reference transforms."""
 
     id: int
     features: np.ndarray
@@ -54,61 +57,63 @@ class Example:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """An immutable collection of examples with a fixed class count and width."""
+    """Read-only per-example arrays; row i is example id i.
 
-    examples: tuple[Example, ...]
+    kind_codes index CORRUPTION_KINDS (None: all clean).  The arrays are held
+    as read-only views, not copies, so pass arrays nothing else writes to.
+    """
+
+    features: np.ndarray
+    labels: np.ndarray
     num_classes: int
-    feature_dim: int
-    split: str
+    split: str = "train"
+    kind_codes: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "examples", tuple(self.examples))
         if self.split not in ("train", "test"):
             raise ConfigurationError(f"unknown split {self.split!r}")
         if self.num_classes < 1:
             raise ConfigurationError("num_classes must be positive")
-        if self.feature_dim < 1:
-            raise ConfigurationError("feature_dim must be positive")
-        seen = set()
-        for ex in self.examples:
-            if ex.id in seen:
-                raise ConfigurationError(f"duplicate example id {ex.id}")
-            seen.add(ex.id)
-            if ex.features.shape != (self.feature_dim,):
-                raise ConfigurationError(
-                    f"example {ex.id}: feature shape {ex.features.shape} != ({self.feature_dim},)"
-                )
-            if not 0 <= ex.label < self.num_classes:
-                raise ConfigurationError(
-                    f"example {ex.id}: label {ex.label} outside [0, {self.num_classes})"
-                )
+        feats = np.asarray(self.features, dtype=np.float64)
+        labels = np.asarray(self.labels, dtype=np.int64)
+        codes = (np.zeros(labels.shape, dtype=np.int8) if self.kind_codes is None
+                 else np.asarray(self.kind_codes, dtype=np.int8))
+        if feats.ndim != 2 or feats.shape[1] < 1 or not (
+                labels.shape == codes.shape == feats.shape[:1]):
+            raise ConfigurationError(
+                f"feature array {feats.shape} does not match {labels.shape} labels "
+                f"and {codes.shape} kind codes"
+            )
+        bad = np.flatnonzero((labels < 0) | (labels >= self.num_classes))
+        if bad.size:
+            raise ConfigurationError(
+                f"example {bad[0]}: label {labels[bad[0]]} outside [0, {self.num_classes})"
+            )
+        if ((codes < 0) | (codes >= len(CORRUPTION_KINDS))).any():
+            raise ConfigurationError("kind codes outside CORRUPTION_KINDS")
+        for name, array in (("features", feats), ("labels", labels), ("kind_codes", codes)):
+            view = array.view()  # read-only without a copy
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
     def __len__(self) -> int:
-        return len(self.examples)
+        return len(self.labels)
 
-    @cached_property
-    def _stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        feats = np.stack([ex.features for ex in self.examples])
-        labels = np.array([ex.label for ex in self.examples], dtype=np.int64)
-        feats.setflags(write=False)
-        labels.setflags(write=False)
-        return feats, labels
+    @property
+    def feature_dim(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def ids(self) -> np.ndarray:
+        return np.arange(len(self))
+
+    @property
+    def corrupted_mask(self) -> np.ndarray:
+        return self.kind_codes != 0
 
     def stack(self) -> tuple[np.ndarray, np.ndarray]:
         """Return (features, labels) as read-only (N, D) and (N,) arrays."""
-        return self._stacked
-
-    @cached_property
-    def ids(self) -> np.ndarray:
-        out = np.array([ex.id for ex in self.examples], dtype=np.int64)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def corrupted_mask(self) -> np.ndarray:
-        out = np.array([ex.corrupted for ex in self.examples], dtype=bool)
-        out.setflags(write=False)
-        return out
+        return self.features, self.labels
 
 
 @dataclass(frozen=True)
@@ -134,18 +139,9 @@ class CorruptionSpec:
 
 
 def dataset_from_arrays(features, labels, num_classes: int, split: str = "train") -> Dataset:
-    """Build a clean Dataset from an (N, D) feature array and N labels."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels)
-    if features.ndim != 2 or features.shape[0] != labels.shape[0]:
-        raise ConfigurationError(
-            f"feature array {features.shape} does not match {labels.shape[0]} labels"
-        )
-    examples = tuple(
-        Example(id=i, features=features[i].copy(), label=int(labels[i]))
-        for i in range(features.shape[0])
-    )
-    return Dataset(examples, num_classes=num_classes, feature_dim=features.shape[1], split=split)
+    """Build a clean Dataset from copies of an (N, D) feature array and N labels."""
+    return Dataset(np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64),
+                   num_classes, split)
 
 
 def generate_synthetic(
@@ -171,7 +167,7 @@ def generate_synthetic(
     feats, labels = _synthetic_arrays(
         num_examples, num_classes, feature_dim, seed, cluster_spread
     )
-    return dataset_from_arrays(feats, labels, num_classes, split=split)
+    return Dataset(feats, labels, num_classes, split)
 
 
 def generate_synthetic_pair(
@@ -188,9 +184,8 @@ def generate_synthetic_pair(
     feats, labels = _synthetic_arrays(
         num_train + num_test, num_classes, feature_dim, seed, cluster_spread
     )
-    train = dataset_from_arrays(feats[:num_train], labels[:num_train], num_classes, split="train")
-    test = dataset_from_arrays(feats[num_train:], labels[num_train:], num_classes, split="test")
-    return train, test
+    return (Dataset(feats[:num_train], labels[:num_train], num_classes, "train"),
+            Dataset(feats[num_train:], labels[num_train:], num_classes, "test"))
 
 
 def _synthetic_arrays(num_examples, num_classes, feature_dim, seed, cluster_spread):
@@ -286,7 +281,7 @@ def load_idx_images(
     feats = pixels.reshape(count, rows * cols)[:take].astype(np.float64) / 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8, count=count, offset=8)[:take]
     num_classes = int(labels.max()) + 1 if take else 1
-    return dataset_from_arrays(feats, labels, num_classes=max(num_classes, 2), split=split)
+    return Dataset(feats, labels, max(num_classes, 2), split)
 
 
 def corrupt_random_label(example: Example, num_classes: int, rng: np.random.Generator) -> Example:
@@ -344,7 +339,8 @@ def apply_corruption(dataset: Dataset, spec: CorruptionSpec) -> Dataset:
     """Corrupt floor(fraction * N) train examples chosen uniformly by the seed.
 
     The chosen index set depends only on the seed and N, so different kinds at
-    the same seed hit the same examples.  Ids never change.
+    the same seed hit the same examples.  Chosen rows take, in ascending row
+    order, the draws corrupt_* would make one example at a time.
     """
     if dataset.split != "train":
         raise ConfigurationError("corruption is only defined for the train split")
@@ -353,33 +349,30 @@ def apply_corruption(dataset: Dataset, spec: CorruptionSpec) -> Dataset:
         return dataset
 
     rng = np.random.default_rng(spec.seed)
-    chosen = set(int(i) for i in rng.choice(len(dataset), size=n_corrupt, replace=False))
-    perm = None
-    if spec.kind is CorruptionKind.SHUFFLED_PIXELS:
+    rows = np.sort(rng.choice(len(dataset), size=n_corrupt, replace=False))
+    feats, labels = dataset.stack()
+    if spec.kind is CorruptionKind.RANDOM_LABEL:
+        labels = labels.copy()
+        labels[rows] = rng.integers(dataset.num_classes, size=n_corrupt)
+    elif spec.kind is CorruptionKind.SHUFFLED_PIXELS:
         perm = make_task_permutation(dataset.feature_dim, spec.seed)
-
-    out = []
-    for pos, ex in enumerate(dataset.examples):
-        if pos not in chosen:
-            out.append(ex)
-        elif spec.kind is CorruptionKind.RANDOM_LABEL:
-            out.append(corrupt_random_label(ex, dataset.num_classes, rng))
-        elif spec.kind is CorruptionKind.SHUFFLED_PIXELS:
-            out.append(corrupt_shuffle_pixels(ex, perm))
-        else:
-            out.append(corrupt_gaussian(ex, rng))
-    return Dataset(
-        tuple(out),
-        num_classes=dataset.num_classes,
-        feature_dim=dataset.feature_dim,
-        split=dataset.split,
-    )
+        feats = feats.copy()
+        feats[rows] = dataset.features[np.ix_(rows, perm)]
+    else:
+        mu, sigma = feats[rows].mean(axis=1), np.sqrt(feats[rows].var(axis=1))
+        feats = feats.copy()
+        feats[rows] = rng.normal(mu[:, None], sigma[:, None], size=(n_corrupt, feats.shape[1]))
+    codes = dataset.kind_codes.copy()
+    codes[rows] = CORRUPTION_KINDS.index(spec.kind)
+    return Dataset(feats, labels, dataset.num_classes, dataset.split, codes)
 
 
 def write_snapshot_csv(dataset: Dataset, path) -> None:
     """One row per example: id, label, corrupted flag, corruption kind."""
+    names = [kind.value for kind in CORRUPTION_KINDS]
+    rows = zip(dataset.labels.tolist(), dataset.kind_codes.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "label", "corrupted", "kind"])
-        for ex in dataset.examples:
-            writer.writerow([ex.id, ex.label, int(ex.corrupted), ex.corruption_kind.value])
+        for i, (label, code) in enumerate(rows):
+            writer.writerow([i, label, int(code != 0), names[code]])

@@ -62,10 +62,6 @@ class RunMetrics:
         ]
 
     @property
-    def corrupted_fraction_series(self) -> list[tuple[int, float]]:
-        return list(enumerate(self.corrupted_frac_series))
-
-    @property
     def best_test_error(self) -> float:
         if not self.eval_errors:
             raise ConfigurationError("run has no evaluation points")
@@ -123,8 +119,6 @@ def run_training(
     feats, labels = train.stack()
     test_feats, test_labels = test.stack()
     mask = train.corrupted_mask
-    ids = train.ids
-    row_of = {int(i): row for row, i in enumerate(ids)}
 
     rng = np.random.default_rng(trainer_cfg.seed)
     arch = [train.feature_dim, *trainer_cfg.hidden_layers, train.num_classes]
@@ -135,8 +129,8 @@ def run_training(
     metrics = RunMetrics(
         seed=trainer_cfg.seed,
         gate_on_series=[] if prio_cfg.kind == "vr" else None,
-        pick_counts={int(i): 0 for i in ids},
     )
+    picks = np.zeros(len(train), dtype=np.int64)
     next_eval = eval_every
     batches_per_epoch = len(train) // batch
 
@@ -151,16 +145,14 @@ def run_training(
                     raise TrainingDivergedError(
                         "non-finite loss while scoring", iteration=state.updates
                     )
-                emitted = prio.feed(
-                    [int(i) for i in ids[rows]], scored.losses, scored.probabilities
-                )
+                # an example's id is its row
+                emitted = prio.feed(rows.tolist(), scored.losses, scored.probabilities)
                 gate_flags = prio.consume_gate_flags()
                 for pos, chosen_ids in enumerate(emitted):
-                    chosen_rows = np.array([row_of[i] for i in chosen_ids])
+                    chosen_rows = np.array(chosen_ids)
                     sgd_step(params, feats[chosen_rows], labels[chosen_rows],
                              trainer_cfg, state, lr)
-                    for i in chosen_ids:
-                        metrics.pick_counts[i] += 1
+                    np.add.at(picks, chosen_rows, 1)
                     metrics.backprops_series.append(state.backprops)
                     metrics.corrupted_frac_series.append(float(mask[chosen_rows].mean()))
                     if metrics.gate_on_series is not None:
@@ -176,6 +168,7 @@ def run_training(
     except TrainingDivergedError:
         metrics.diverged = True
 
+    metrics.pick_counts = dict(enumerate(picks.tolist()))
     if checkpoint_path is not None:
         save_checkpoint(params, checkpoint_path)
     return metrics
@@ -267,8 +260,6 @@ class SeedAggregate:
     backprops: list[int]
     test_error_mean: list[float]
     test_error_std: list[float]
-    corrupted_fraction_mean: list[float]
-    corrupted_fraction_std: list[float]
     best_errors: list[float]
 
     @property
@@ -280,16 +271,6 @@ class SeedAggregate:
         if not self.test_error_mean:
             raise AggregationError("aggregate has no evaluation points")
         return min(self.test_error_mean)
-
-
-def _column_stats(rows: list[list[float]]) -> tuple[list[float], list[float]]:
-    arr = np.array(rows, dtype=np.float64)
-    mean = arr.mean(axis=0)
-    if arr.shape[0] < 2:
-        std = np.zeros(arr.shape[1])
-    else:
-        std = arr.std(axis=0, ddof=1)
-    return mean.tolist(), std.tolist()
 
 
 def aggregate_seeds(runs: list[RunMetrics]) -> SeedAggregate:
@@ -310,16 +291,13 @@ def aggregate_seeds(runs: list[RunMetrics]) -> SeedAggregate:
             raise AggregationError(
                 f"eval schedules disagree: {grids[0][:5]}... vs {other[:5]}..."
             )
-    err_mean, err_std = _column_stats([r.eval_errors[:n_eval] for r in runs])
-    n_iter = min(r.num_iterations for r in runs)
-    frac_mean, frac_std = _column_stats([r.corrupted_frac_series[:n_iter] for r in runs])
+    errors = np.array([r.eval_errors[:n_eval] for r in runs], dtype=np.float64)
+    std = errors.std(axis=0, ddof=1) if len(runs) > 1 else np.zeros(n_eval)
     return SeedAggregate(
         num_runs=len(runs),
         backprops=grids[0],
-        test_error_mean=err_mean,
-        test_error_std=err_std,
-        corrupted_fraction_mean=frac_mean,
-        corrupted_fraction_std=frac_std,
+        test_error_mean=errors.mean(axis=0).tolist(),
+        test_error_std=std.tolist(),
         best_errors=[r.best_test_error for r in runs],
     )
 

@@ -13,6 +13,7 @@ from scipy import stats
 from .datasets import (
     CorruptionKind,
     CorruptionSpec,
+    Example,
     apply_corruption,
     corrupt_random_label,
     corrupt_shuffle_pixels,
@@ -91,7 +92,8 @@ def check_corruptions() -> tuple[str, bool, str]:
     problems = []
 
     perm = make_task_permutation(64, seed=9)
-    base = generate_synthetic(40, 4, 64, seed=2).examples[0]
+    source = generate_synthetic(40, 4, 64, seed=2)
+    base = Example(id=0, features=source.features[0], label=int(source.labels[0]))
     shuffled = corrupt_shuffle_pixels(base, perm)
     if sorted(shuffled.features.tolist()) != sorted(base.features.tolist()):
         problems.append("shuffle changed the multiset")

@@ -153,6 +153,21 @@ class TestBenchmarkCommand:
         report = json.loads((out / "none_0" / "uniform" / "speedup.json").read_text())
         assert report["speedup"] == 1.0
 
+    def test_run_without_evaluations_exits_two_naming_cell_and_variant(self, tmp_path, capsys):
+        # 2 epochs of 512 candidates: sb_loss at beta 1 trains on about half of
+        # them and vr on a third, so both end before the first evaluation at 512
+        cfg = write_config(tmp_path, {
+            "dataset": {"num_train": 600, "num_test": 200},
+            "trainer": {"total_epochs": 2},
+            "eval_every": 512,
+            "seeds": [0],
+            "corruption_grid": [["none", 0.0]],
+        })
+        code = main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "bench")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: none_0 sb_loss_b1: a run has no evaluation points\n"
+
     def test_snapshot_reflects_cell_corruption(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_BENCHMARK)
         out = tmp_path / "bench"

@@ -1,9 +1,11 @@
 """JSON config parsing, resolution, and dataset materialization."""
 
 import json
+import re
 
 import pytest
 
+from lossprio.cli import main
 from lossprio.config import (
     BenchmarkConfig,
     DatasetConfig,
@@ -63,6 +65,22 @@ class TestExperimentParsing:
     def test_empty_seed_list_rejected(self):
         with pytest.raises(ConfigurationError, match="seeds"):
             experiment_config_from_dict({"seeds": []})
+
+    @pytest.mark.parametrize(
+        "raw, where",
+        [
+            ({"corruption_grid": [["gaussian", 0.5, 1]]}, r"corruption_grid\[0\]"),
+            ({"seeds": ["a"]}, r"seeds\[0\] = 'a'"),
+            ({"dataset": {"num_train": "5000"}}, r"\.dataset: num_train"),
+        ],
+    )
+    def test_malformed_config_exits_two_with_location(self, tmp_path, capsys, raw, where):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["benchmark", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}")
+        assert re.search(where, err), err
 
 
 class TestConfigFiles:
@@ -160,7 +178,7 @@ class TestBuildDatasets:
         cfg = self.small_cfg(kind="random_label", fraction=0.5, seed=7)
         train, test = build_datasets(cfg)
         assert train.corrupted_mask.sum() == 150
-        assert not any(ex.corrupted for ex in test.examples)
+        assert not test.corrupted_mask.any()
 
     def test_explicit_corruption_overrides_config(self):
         train, _ = build_datasets(

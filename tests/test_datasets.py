@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from lossprio.config import build_datasets, experiment_config_from_dict
 from lossprio.datasets import (
+    CORRUPTION_KINDS,
     CorruptionKind,
     CorruptionSpec,
     Dataset,
@@ -23,6 +25,8 @@ from lossprio.datasets import (
     write_snapshot_csv,
 )
 from lossprio.errors import ConfigurationError, IngestionError
+from lossprio.harness import run_training
+from lossprio.prioritizers import PrioritizerConfig
 
 
 class TestSyntheticGeneration:
@@ -152,11 +156,7 @@ class TestRandomLabelCorruption:
         out = apply_corruption(
             ds, CorruptionSpec(kind="random_label", fraction=0.5, seed=11)
         )
-        kept = sum(
-            1
-            for before, after in zip(ds.examples, out.examples)
-            if after.corrupted and after.label == before.label
-        )
+        kept = int((out.corrupted_mask & (out.labels == ds.labels)).sum())
         mean, sigma = 500 * 0.1, np.sqrt(500 * 0.1 * 0.9)
         assert abs(kept - mean) < 4 * sigma
 
@@ -243,8 +243,8 @@ class TestApplyCorruption:
         ds = generate_synthetic(1000, 4, 8, seed=2)
         out = apply_corruption(ds, CorruptionSpec(kind="random_label", fraction=0.25, seed=5))
         assert int(out.corrupted_mask.sum()) == 250
-        for ex in out.examples:
-            assert ex.corrupted == (ex.corruption_kind is CorruptionKind.RANDOM_LABEL)
+        kinds = [CORRUPTION_KINDS[code] for code in out.kind_codes]
+        assert out.corrupted_mask.tolist() == [k is CorruptionKind.RANDOM_LABEL for k in kinds]
 
     def test_floor_of_fraction(self):
         ds = generate_synthetic(10, 4, 8, seed=2)
@@ -271,22 +271,49 @@ class TestApplyCorruption:
         ds = generate_synthetic(200, 4, 16, seed=5)
         out = apply_corruption(ds, CorruptionSpec(kind="shuffled_pixels", fraction=0.5, seed=9))
         perm = make_task_permutation(16, seed=9)
-        for before, after in zip(ds.examples, out.examples):
-            if after.corrupted:
-                assert np.array_equal(after.features, before.features[perm])
+        rows = out.corrupted_mask
+        assert np.array_equal(out.features[rows], ds.features[rows][:, perm])
 
     def test_untouched_examples_identical(self):
         ds = generate_synthetic(200, 4, 8, seed=6)
         out = apply_corruption(ds, CorruptionSpec(kind="gaussian", fraction=0.4, seed=10))
-        for before, after in zip(ds.examples, out.examples):
-            if not after.corrupted:
-                assert after is before
+        clean = ~out.corrupted_mask
+        assert np.array_equal(out.features[clean], ds.features[clean])
+        assert np.array_equal(out.labels, ds.labels)
 
     def test_deterministic(self):
         ds = generate_synthetic(300, 4, 8, seed=7)
         spec = CorruptionSpec(kind="random_label", fraction=0.5, seed=20)
         a, b = apply_corruption(ds, spec), apply_corruption(ds, spec)
         assert np.array_equal(a.stack()[1], b.stack()[1])
+
+    @pytest.mark.parametrize("kind", ["random_label", "shuffled_pixels", "gaussian"])
+    def test_matches_per_example_reference(self, kind):
+        # the one-example transforms, applied row by row in ascending order with
+        # one generator, are the reference the array version must equal exactly
+        ds = generate_synthetic(300, 7, 784, seed=12)
+        spec = CorruptionSpec(kind=kind, fraction=0.5, seed=19)
+        rng = np.random.default_rng(spec.seed)
+        chosen = set(rng.choice(300, size=150, replace=False).tolist())
+        perm = make_task_permutation(784, spec.seed)
+        expected = []
+        for row in range(300):
+            ex = Example(id=row, features=ds.features[row], label=int(ds.labels[row]))
+            if row in chosen and kind == "random_label":
+                ex = corrupt_random_label(ex, 7, rng)
+            elif row in chosen and kind == "shuffled_pixels":
+                ex = corrupt_shuffle_pixels(ex, perm)
+            elif row in chosen:
+                ex = corrupt_gaussian(ex, rng)
+            expected.append(ex)
+
+        out = apply_corruption(ds, spec)
+        assert out.features.tobytes() == np.stack([ex.features for ex in expected]).tobytes()
+        assert out.labels.tolist() == [ex.label for ex in expected]
+        assert out.corrupted_mask.tolist() == [ex.corrupted for ex in expected]
+        assert [CORRUPTION_KINDS[c] for c in out.kind_codes] == [
+            ex.corruption_kind for ex in expected
+        ]
 
     def test_test_split_rejected(self):
         _, test = generate_synthetic_pair(100, 50, 4, 8, seed=1)
@@ -304,15 +331,9 @@ class TestApplyCorruption:
 
 
 class TestDatasetValidation:
-    def test_duplicate_ids_rejected(self):
-        exs = [Example(id=0, features=np.zeros(2), label=0) for _ in range(2)]
-        with pytest.raises(ConfigurationError):
-            Dataset(tuple(exs), num_classes=2, feature_dim=2, split="train")
-
     def test_label_out_of_range_rejected(self):
-        ex = Example(id=0, features=np.zeros(2), label=5)
-        with pytest.raises(ConfigurationError):
-            Dataset((ex,), num_classes=2, feature_dim=2, split="train")
+        with pytest.raises(ConfigurationError, match="example 1: label 5"):
+            Dataset(np.zeros((2, 2)), np.array([0, 5]), num_classes=2, split="train")
 
     def test_inconsistent_corruption_flag_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -333,3 +354,19 @@ class TestDatasetValidation:
     def test_from_arrays_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
             dataset_from_arrays(np.zeros((3, 2)), np.zeros(4), 2)
+
+
+def test_run_path_builds_no_examples(monkeypatch):
+    built = []
+    check = Example.__post_init__
+    monkeypatch.setattr(Example, "__post_init__", lambda ex: built.append(ex.id) or check(ex))
+    cfg = experiment_config_from_dict({
+        "dataset": {"num_train": 300, "num_test": 60, "num_classes": 4, "feature_dim": 8},
+        "trainer": {"batch_size": 32, "total_epochs": 1, "hidden_layers": [8]},
+    })
+    for kind in ("random_label", "shuffled_pixels", "gaussian"):
+        train, test = build_datasets(cfg, CorruptionSpec(kind=kind, fraction=0.5, seed=3))
+        run_training(train, test, cfg.trainer, PrioritizerConfig(kind="sb_loss"), eval_every=64)
+    assert built == []
+    Example(id=7, features=np.zeros(2), label=0)  # the counter does see construction
+    assert built == [7]
