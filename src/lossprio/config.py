@@ -27,6 +27,8 @@ from .prioritizers import PrioritizerConfig
 
 def _convert_each(name: str, convert, values) -> tuple:
     """tuple(map(convert, values)), with errors naming the field and the entry."""
+    if isinstance(values, str):  # a string would be split into characters
+        raise ConfigurationError(f"{name}: expected a list, got {values!r}")
     out = []
     for i, value in enumerate(values):
         try:
@@ -43,7 +45,8 @@ def _grid_cell(cell) -> tuple[str, float]:
     return str(kind), float(fraction)
 
 
-# Field annotations (strings here) of the numeric fields checked on input.
+# Field annotations (strings, as every config module postpones them) of the
+# numeric fields _build checks on input.
 _NUMBER_TYPES = {"int": Integral, "float": Real, "int | None": (Integral, type(None))}
 
 
@@ -63,10 +66,6 @@ class DatasetConfig:
     limit: int | None = None
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value, types = getattr(self, f.name), _NUMBER_TYPES.get(f.type)
-            if types and (isinstance(value, bool) or not isinstance(value, types)):
-                raise ConfigurationError(f"{f.name}: expected {f.type}, got {value!r}")
         if self.type not in ("synthetic", "idx"):
             raise ConfigurationError(f"unknown dataset type {self.type!r}")
         if self.type == "idx" and (self.train_images is None or self.test_images is None):
@@ -133,10 +132,15 @@ class BenchmarkConfig:
 def _build(cls, raw: dict, context: str):
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{context}: expected an object, got {type(raw).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(raw) - names
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(raw) - set(fields)
     if unknown:
         raise ConfigurationError(f"{context}: unknown keys {sorted(unknown)}")
+    for name, value in raw.items():
+        annotation = fields[name].type
+        types = _NUMBER_TYPES.get(annotation)
+        if types and (isinstance(value, bool) or not isinstance(value, types)):
+            raise ConfigurationError(f"{context}: {name}: expected {annotation}, got {value!r}")
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:  # ConfigurationError is a ValueError

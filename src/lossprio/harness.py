@@ -1,8 +1,9 @@
 """Training loop, speedup measurement, and metrics serialization.
 
 A run walks the shuffled train split in candidate batches, forward-scores
-each batch, lets the prioritizer decide what actually gets an update, and
-evaluates clean test error on a fixed back-propagation budget cadence.
+each batch (unless the prioritizer ignores scores), lets the prioritizer
+decide what actually gets an update, and evaluates clean test error on a
+fixed back-propagation budget cadence.
 Budgets are counted in examples back-propagated, which is the comparison
 axis for every speedup number.
 """
@@ -140,13 +141,18 @@ def run_training(
             order = rng.permutation(len(train))
             for k in range(batches_per_epoch):
                 rows = order[k * batch : (k + 1) * batch]
-                scored = forward(params, feats[rows], labels[rows])
-                if not np.isfinite(scored.losses).all():
-                    raise TrainingDivergedError(
-                        "non-finite loss while scoring", iteration=state.updates
-                    )
+                losses = probabilities = None
+                # without a scoring forward, sgd_step's finite check still
+                # stops a divergent run at this update
+                if prio.needs_scores:
+                    scored = forward(params, feats[rows], labels[rows])
+                    if not np.isfinite(scored.losses).all():
+                        raise TrainingDivergedError(
+                            "non-finite loss while scoring", iteration=state.updates
+                        )
+                    losses, probabilities = scored.losses, scored.probabilities
                 # an example's id is its row
-                emitted = prio.feed(rows.tolist(), scored.losses, scored.probabilities)
+                emitted = prio.feed(rows.tolist(), losses, probabilities)
                 gate_flags = prio.consume_gate_flags()
                 for pos, chosen_ids in enumerate(emitted):
                     chosen_rows = np.array(chosen_ids)

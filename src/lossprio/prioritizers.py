@@ -89,6 +89,7 @@ class ScoreHistogram:
         self._buf = np.empty(capacity, dtype=np.float64)
         self._size = 0
         self._next = 0
+        self._tri = np.tri(0, dtype=bool)  # lower-triangular mask, grown by insert_many
 
     def __len__(self) -> int:
         return self._size
@@ -100,6 +101,8 @@ class ScoreHistogram:
             self._size += 1
 
     def cdf(self, score: float) -> float:
+        """One score against the current window: the per-example reference
+        that ``insert_many`` reproduces."""
         if self._size == 0:
             raise EmptyHistogramError("no scores recorded yet")
         window = self._buf if self._size == self.capacity else self._buf[: self._size]
@@ -110,6 +113,44 @@ class ScoreHistogram:
         if self._size < self.capacity:
             return self._buf[: self._size].tolist()
         return np.roll(self._buf, -self._next).tolist()
+
+    def insert_many(self, scores: np.ndarray) -> np.ndarray:
+        """Insert scores in order and return the cdf of each one against the
+        window as it stood right after its own insertion.
+
+        Equal, value for value, to ``insert(s); cdf(s)`` one score at a time;
+        the work is per chunk of at most ``capacity`` scores instead.
+        """
+        out = np.empty(len(scores))
+        for lo in range(0, len(scores), self.capacity):
+            chunk = scores[lo : lo + self.capacity]
+            out[lo : lo + len(chunk)] = self._insert_chunk(chunk)
+        return out
+
+    def _insert_chunk(self, scores: np.ndarray) -> np.ndarray:
+        n, cap, size = len(scores), self.capacity, self._size
+        if len(self._tri) < n:
+            self._tri = np.tri(n, dtype=bool)
+        # the count at or below each score: the old window, less the old
+        # entries evicted by then, plus the chunk up to and including it
+        count = np.sort(self._buf[:size]).searchsorted(scores, side="right")
+        free = cap - size
+        if n > free:  # score free + r evicts the r + 1 oldest entries
+            oldest = (self._next - size) % cap
+            gone = self._buf[(oldest + np.arange(n - free)) % cap]
+            count[free:] -= self._prefix_counts(gone, scores[free:])
+        count += self._prefix_counts(scores, scores)
+
+        self._buf[(self._next + np.arange(n)) % cap] = scores
+        self._next = (self._next + n) % cap
+        sizes = np.minimum(size + np.arange(1, n + 1), cap)
+        self._size = int(sizes[-1])
+        return count / sizes
+
+    def _prefix_counts(self, values: np.ndarray, probes: np.ndarray) -> np.ndarray:
+        """For each j, how many of values[: j + 1] are <= probes[j]."""
+        m = len(probes)
+        return np.count_nonzero((values <= probes[:, None]) & self._tri[:m, :m], axis=1)
 
 
 def selection_probability(score: float, histogram: ScoreHistogram, beta: float) -> float:
@@ -127,7 +168,11 @@ def expected_selection_fraction(beta: float) -> float:
 
 
 class CandidateBuffer:
-    """FIFO queue of admitted ids that releases exact-size batches."""
+    """FIFO queue of admitted ids that releases exact-size batches.
+
+    The per-example reference for the queue inside
+    ``SelectiveBackpropPrioritizer``, which releases the same batches.
+    """
 
     def __init__(self, batch_size: int):
         if batch_size < 1:
@@ -155,10 +200,11 @@ class CandidateBuffer:
 class SamplingPool:
     """Pool of (id, loss) candidates drawn down by weighted sampling.
 
-    The gate statistic is the squared L2 distance between the normalized
-    loss distribution and uniform, scaled by the pool size; above the
-    threshold the draw is loss-proportional, otherwise uniform.  All-zero
-    losses always fall back to uniform.
+    Ids and losses are two fixed-capacity arrays in arrival order.  The gate
+    statistic is the squared L2 distance between the normalized loss
+    distribution and uniform, scaled by the pool size; above the threshold
+    the draw is loss-proportional, otherwise uniform.  All-zero losses
+    always fall back to uniform.
     """
 
     def __init__(self, capacity: int, gate_threshold: float = 0.0):
@@ -168,22 +214,39 @@ class SamplingPool:
             raise ConfigurationError("gate threshold must be nonnegative")
         self.capacity = capacity
         self.gate_threshold = gate_threshold
-        self.entries: list[tuple[int, float]] = []
+        self._ids = np.empty(capacity, dtype=np.int64)
+        self._losses = np.empty(capacity, dtype=np.float64)
+        self._size = 0
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._size
 
     @property
     def is_full(self) -> bool:
-        return len(self.entries) >= self.capacity
+        return self._size >= self.capacity
+
+    @property
+    def entries(self) -> list[tuple[int, float]]:
+        n = self._size
+        return list(zip(self._ids[:n].tolist(), self._losses[:n].tolist()))
 
     def push(self, example_id: int, loss: float) -> None:
-        if not np.isfinite(loss) or loss < 0:
-            raise ConfigurationError(f"loss must be finite and nonnegative, got {loss}")
-        self.entries.append((int(example_id), float(loss)))
+        self.extend([example_id], [loss])
+
+    def extend(self, ids, losses) -> None:
+        """Append candidates in order; losses must be finite and nonnegative."""
+        losses = np.asarray(losses, dtype=np.float64)
+        if not np.isfinite(losses).all() or (losses < 0).any():
+            raise ConfigurationError(f"losses must be finite and nonnegative, got {losses}")
+        lo, hi = self._size, self._size + len(losses)
+        if hi > self.capacity:
+            raise ConfigurationError(f"pool of capacity {self.capacity} cannot hold {hi}")
+        self._ids[lo:hi] = ids
+        self._losses[lo:hi] = losses
+        self._size = hi
 
     def gate_statistic(self) -> float:
-        losses = np.array([loss for _, loss in self.entries], dtype=np.float64)
+        losses = self._losses[: self._size]
         total = losses.sum()
         if total <= 0:
             return 0.0
@@ -194,42 +257,44 @@ class SamplingPool:
         """Remove and return batch_size distinct ids, plus the gate decision.
 
         Weighted draws are sequential: pick one id proportional to loss,
-        remove it, renormalize, repeat.
+        remove it, renormalize, repeat.  Each weighted pick is the search
+        ``rng.choice(k, p=losses / losses.sum())`` makes, over the pool
+        compacted after the previous pick, so it yields the same id from the
+        same stream.  Once only zero losses are left, picks are uniform.
         """
-        if batch_size > len(self.entries):
-            raise ConfigurationError(
-                f"cannot draw {batch_size} from a pool of {len(self.entries)}"
-            )
-        losses = np.array([loss for _, loss in self.entries], dtype=np.float64)
-        gate_on = self.gate_statistic() > self.gate_threshold and losses.sum() > 0
-
-        remaining = np.arange(len(self.entries))
+        if batch_size > self._size:
+            raise ConfigurationError(f"cannot draw {batch_size} from a pool of {self._size}")
+        gate_on = self.gate_statistic() > self.gate_threshold
         picked = []
         for _ in range(batch_size):
-            if gate_on:
-                weights = losses[remaining]
-                probs = weights / weights.sum()
-                j = int(rng.choice(len(remaining), p=probs))
+            k = self._size
+            weights = self._losses[:k]
+            total = weights.sum() if gate_on else 0.0
+            if total > 0:
+                cdf = (weights / total).cumsum()
+                cdf /= cdf[-1]
+                j = int(cdf.searchsorted(rng.random(), side="right"))
             else:
-                j = int(rng.integers(len(remaining)))
-            picked.append(int(remaining[j]))
-            remaining = np.delete(remaining, j)
-        ids = [self.entries[i][0] for i in picked]
-        keep = set(picked)
-        self.entries = [e for i, e in enumerate(self.entries) if i not in keep]
-        return ids, gate_on
+                j = int(rng.integers(k))
+            picked.append(int(self._ids[j]))
+            # close the gap in place; the next pick sums the compacted array
+            self._ids[j : k - 1] = self._ids[j + 1 : k]
+            self._losses[j : k - 1] = self._losses[j + 1 : k]
+            self._size = k - 1
+        return picked, gate_on
 
     def clear(self) -> None:
-        self.entries = []
+        self._size = 0
 
     def snapshot(self) -> list[list]:
-        return [[i, loss] for i, loss in self.entries]
+        return [list(entry) for entry in self.entries]
 
 
 class Prioritizer:
     """Common interface: feed candidates, collect full training batches."""
 
     kind = "base"
+    needs_scores = True  # False: feed ignores losses and distributions
 
     def __init__(self, batch_size: int, seed: int):
         if batch_size < 1:
@@ -272,6 +337,7 @@ class UniformPrioritizer(Prioritizer):
     """Plain SGD: every candidate batch passes through untouched."""
 
     kind = "uniform"
+    needs_scores = False
 
     def feed(self, ids, losses=None, probabilities=None) -> list[list[int]]:
         batch = [int(i) for i in ids]
@@ -286,7 +352,9 @@ class SelectiveBackpropPrioritizer(Prioritizer):
     Scores are losses (``sb_loss``) or prediction entropies (``sb_entropy``).
     Each score is inserted into the window before its own probability is
     computed, and until the window holds one full batch of scores every
-    example is admitted unconditionally (warm-up).
+    example is admitted unconditionally (warm-up).  A feed is decided as one
+    batch: the same admissions, from the same random stream, as deciding
+    one example at a time with ``selection_probability``.
     """
 
     def __init__(
@@ -302,11 +370,16 @@ class SelectiveBackpropPrioritizer(Prioritizer):
             raise ConfigurationError("beta must be nonnegative")
         if score not in ("loss", "entropy"):
             raise ConfigurationError(f"unknown score source {score!r}")
+        if histogram_capacity < batch_size:
+            # the window could never hold a batch, so warm-up would never end
+            raise ConfigurationError(
+                f"histogram capacity {histogram_capacity} smaller than batch size {batch_size}"
+            )
         self.beta = beta
         self.score_source = score
         self.kind = "sb_loss" if score == "loss" else "sb_entropy"
         self.histogram = ScoreHistogram(histogram_capacity)
-        self.buffer = CandidateBuffer(batch_size)
+        self._queue: list[int] = []  # admitted ids not yet in a batch
 
     def feed(self, ids, losses=None, probabilities=None) -> list[list[int]]:
         if self.score_source == "loss":
@@ -320,18 +393,24 @@ class SelectiveBackpropPrioritizer(Prioritizer):
         if len(scores) != len(ids):
             raise ConfigurationError("ids and scores must have equal length")
 
-        for example_id, score in zip(ids, scores):
-            self.ingested += 1
-            self.histogram.insert(float(score))
-            if len(self.histogram) < self.batch_size:
-                admitted = True  # warm-up: too few scores to rank against
-            else:
-                p = selection_probability(float(score), self.histogram, self.beta)
-                admitted = p >= 1.0 or self.rng.random() < p
-            if admitted:
-                self.selected += 1
-                self.buffer.push(int(example_id))
-        return self.buffer.drain()
+        # warm-up: the leading scores that leave the window below one batch
+        warm = max(self.batch_size - 1 - len(self.histogram), 0)
+        cdf = self.histogram.insert_many(scores)
+        # Python's float power, as selection_probability uses: numpy's can
+        # differ from it in the last bit
+        p = np.array([c**self.beta for c in cdf.tolist()])
+        admitted = np.ones(len(scores), dtype=bool)
+        ranked = np.flatnonzero(p[warm:] < 1.0) + warm
+        admitted[ranked] = self.rng.random(len(ranked)) < p[ranked]
+
+        self.ingested += len(scores)
+        self.selected += int(admitted.sum())
+        self._queue.extend(np.asarray(ids)[admitted].tolist())
+        full = len(self._queue) - len(self._queue) % self.batch_size
+        batches = [self._queue[lo : lo + self.batch_size]
+                   for lo in range(0, full, self.batch_size)]
+        del self._queue[:full]
+        return batches
 
     def _state(self) -> dict:
         state = super()._state()
@@ -339,7 +418,7 @@ class SelectiveBackpropPrioritizer(Prioritizer):
             beta=self.beta,
             score=self.score_source,
             window=self.histogram.values(),
-            buffer=self.buffer.snapshot(),
+            buffer=list(self._queue),
         )
         return state
 
@@ -378,9 +457,12 @@ class PoolImportancePrioritizer(Prioritizer):
         if len(losses) != len(ids):
             raise ConfigurationError("ids and losses must have equal length")
         batches = []
-        for example_id, loss in zip(ids, losses):
-            self.ingested += 1
-            self.pool.push(int(example_id), float(loss))
+        lo = 0
+        while lo < len(losses):
+            hi = min(lo + self.pool.capacity - len(self.pool), len(losses))
+            self.pool.extend(ids[lo:hi], losses[lo:hi])
+            self.ingested += hi - lo
+            lo = hi
             if self.pool.is_full:
                 ids_drawn, gate_on = self.pool.draw(self.batch_size, self.rng)
                 self.pool.clear()  # undrawn candidates are dropped, not recycled

@@ -82,6 +82,26 @@ class TestExperimentParsing:
         assert err.startswith(f"error: {path}")
         assert re.search(where, err), err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("batch_size", 32.5), ("total_epochs", 1.5), ("histogram_capacity", 64.0)],
+    )
+    def test_non_integer_count_exits_two_naming_the_field(self, tmp_path, capsys,
+                                                          field, value):
+        section = "prioritizer" if field == "histogram_capacity" else "trainer"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({section: {field: value}}))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}.{section}: {field}: expected int, got {value!r}" in err, err
+
+    def test_string_where_a_list_belongs_rejected(self):
+        # a string used to be split into characters: "12" became seeds (1, 2)
+        with pytest.raises(ConfigurationError, match=r"config: seeds: expected a list, got '12'"):
+            experiment_config_from_dict({"seeds": "12"})
+        with pytest.raises(ConfigurationError, match=r"corruption_grid: expected a list"):
+            BenchmarkConfig(corruption_grid="none")
+
 
 class TestConfigFiles:
     def test_load_from_file(self, tmp_path):

@@ -1,5 +1,7 @@
 """Training loop accounting, speedup math, aggregation, and run files."""
 
+import hashlib
+import json
 import statistics
 from types import SimpleNamespace
 
@@ -398,3 +400,37 @@ class TestRunSerialization:
         path.write_text("iteration,whatever\n0,1\n")
         with pytest.raises(ConfigurationError):
             read_metrics_csv(path)
+
+
+# sha256 of json.dumps([batch_log, eval_errors, gate_on_series]) per variant,
+# recorded before selection was vectorized.  A change here means the RNG
+# stream or an emitted batch moved; a performance change must keep them.
+PINNED_SELECTION_STREAMS = {
+    "uniform": "dce099113744f8814d09cc04cb1f064f97789ab443d55a5402cd70ed459e8e75",
+    "sb_loss_b1": "b277d40dbc38efd63b53e4feeec0bcee41c32aea656f5e0fcbc7b3eb941569aa",
+    "sb_loss_b2.5": "1c472867e771409d75a485b4460397d74b68315c70201dad8c8260e208b95aca",
+    "sb_entropy_b1": "67e40bd3cbb8387e192af666111d4d8f6f2180e644a8a1d61855f6c856b08ceb",
+    "vr": "bc9f35c04d37c1e66c13de4f1e3a08a0f8c881a217b8ada767aeb31c590955d3",
+}
+
+
+def test_selection_streams_match_pinned_hashes():
+    train, test = tiny_pair(num_train=600)
+    train = apply_corruption(train, CorruptionSpec(kind="random_label", fraction=0.3, seed=7))
+    variants = {
+        "uniform": PrioritizerConfig(kind="uniform", seed=1),
+        "sb_loss_b1": PrioritizerConfig(kind="sb_loss", beta=1.0, seed=1),
+        # a window of two batches wraps many times
+        "sb_loss_b2.5": PrioritizerConfig(kind="sb_loss", beta=2.5, histogram_capacity=64,
+                                          seed=1),
+        "sb_entropy_b1": PrioritizerConfig(kind="sb_entropy", beta=1.0, seed=1),
+        # the gate opens on 20 of 21 draws, so both draw paths run
+        "vr": PrioritizerConfig(kind="vr", pool_capacity=80, gate_threshold=0.05, seed=1),
+    }
+    got = {}
+    for name, cfg in variants.items():
+        log = []
+        metrics = run_training(train, test, tiny_trainer(), cfg, eval_every=64, batch_log=log)
+        blob = json.dumps([log, metrics.eval_errors, metrics.gate_on_series])
+        got[name] = hashlib.sha256(blob.encode()).hexdigest()
+    assert got == PINNED_SELECTION_STREAMS

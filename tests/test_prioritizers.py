@@ -371,3 +371,97 @@ class TestStateSnapshot:
             '"pool": [[10, 1.5], [11, 2.5]], "pool_capacity": 8, "selected": 0}'
         )
         assert prio.state_snapshot() == expected
+
+
+def per_example_selective_backprop(batch_size, seed, beta, capacity, feeds):
+    """The per-example reference: insert, rank against the window, admit."""
+    hist, rng = ScoreHistogram(capacity), np.random.default_rng(seed)
+    queue, batches = CandidateBuffer(batch_size), []
+    for ids, scores in feeds:
+        for example_id, score in zip(ids, scores):
+            hist.insert(float(score))
+            if len(hist) < batch_size:
+                admitted = True
+            else:
+                p = selection_probability(float(score), hist, beta)
+                admitted = p >= 1.0 or rng.random() < p
+            if admitted:
+                queue.push(example_id)
+        batches.extend(queue.drain())
+    return batches, hist.values(), rng
+
+
+class TestBatchedSelectionMatchesPerExample:
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("tied", [False, True])
+    @pytest.mark.parametrize("capacity, feed_len", [(64, 10), (64, 64), (64, 150), (16, 40)])
+    def test_selective_backprop_feed(self, beta, tied, capacity, feed_len):
+        rng = np.random.default_rng(int(beta * 10) + capacity + feed_len)
+        scores = rng.exponential(size=12 * feed_len)
+        if tied:
+            scores = np.round(scores, 2)
+        feeds = [(list(range(lo, lo + feed_len)), scores[lo : lo + feed_len])
+                 for lo in range(0, len(scores), feed_len)]
+        expected, window, ref_rng = per_example_selective_backprop(16, 7, beta, capacity, feeds)
+
+        prio = SelectiveBackpropPrioritizer(batch_size=16, seed=7, beta=beta,
+                                            histogram_capacity=capacity)
+        got = [batch for ids, chunk in feeds for batch in prio.feed(ids, chunk)]
+        assert got == expected
+        assert prio.histogram.values() == window
+        assert prio.rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_pool_draw(self):
+        def reference(entries, batch_size, threshold, rng):
+            ids = [i for i, _ in entries]
+            losses = np.array([loss for _, loss in entries])
+            q = losses / losses.sum() if losses.sum() > 0 else None
+            gate_on = q is not None and len(q) * np.square(q - 1 / len(q)).sum() > threshold
+            remaining, picked = np.arange(len(ids)), []
+            for _ in range(batch_size):
+                if gate_on:
+                    weights = losses[remaining]
+                    j = rng.choice(len(remaining), p=weights / weights.sum())
+                else:
+                    j = rng.integers(len(remaining))
+                picked.append(ids[remaining[j]])
+                remaining = np.delete(remaining, j)
+            return picked, gate_on, [entries[i] for i in remaining]
+
+        data = np.random.default_rng(21)
+        gates = set()
+        for trial in range(150):
+            size = int(data.integers(1, 400))
+            losses = data.exponential(size=size) * (data.random(size) > 0.3)
+            positive = int((losses > 0).sum())
+            batch_size = int(data.integers(1, max(positive, 1) + 1))
+            threshold = (0.0, 0.3, 1e9)[trial % 3]
+            entries = list(zip(data.permutation(10 * size)[:size].tolist(), losses.tolist()))
+            pool = SamplingPool(capacity=size, gate_threshold=threshold)
+            for example_id, loss in entries:
+                pool.push(example_id, loss)
+            seed = int(data.integers(1 << 30))
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = pool.draw(batch_size, rng)
+            picked, gate_on, rest = reference(entries, batch_size, threshold, ref_rng)
+            assert got == (picked, gate_on)
+            assert pool.entries == rest
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            gates.add(gate_on)
+        assert gates == {True, False}
+
+        # rng.choice cannot go on once only zero losses are left; the pool
+        # takes every positive loss first and then picks uniformly
+        pool = SamplingPool(capacity=6)
+        for example_id, loss in enumerate([0.0, 2.0, 0.0, 1.0, 0.0, 0.0]):
+            pool.push(example_id, loss)
+        ids, gate_on = pool.draw(4, np.random.default_rng(0))
+        assert gate_on and set(ids[:2]) == {1, 3} and len(set(ids)) == 4
+
+
+def test_histogram_smaller_than_batch_rejected():
+    # the window could never hold a batch: warm-up would admit every example
+    with pytest.raises(ConfigurationError, match="histogram capacity 64 smaller than batch size 128"):
+        SelectiveBackpropPrioritizer(batch_size=128, seed=0, beta=1.0, histogram_capacity=64)
+    with pytest.raises(ConfigurationError, match="capacity 64"):
+        make_prioritizer(PrioritizerConfig(kind="sb_entropy", histogram_capacity=64), 128)
