@@ -85,6 +85,9 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         cfg.seeds, out_dir, threads,
     )
     for seed, metrics in zip(cfg.seeds, runs):
+        if not (metrics.diverged or metrics.eval_errors):
+            raise ConfigurationError(f"seed {seed}: a run has no evaluation points")
+    for seed, metrics in zip(cfg.seeds, runs):
         flag = " [diverged]" if metrics.diverged else ""
         best = min(metrics.eval_errors) if metrics.eval_errors else float("nan")
         print(

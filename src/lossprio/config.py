@@ -147,6 +147,20 @@ def _build(cls, raw: dict, context: str):
         raise ConfigurationError(f"{context}: {exc}") from None
 
 
+def _check_capacity(prio: PrioritizerConfig, batch_size: int, context: str) -> None:
+    """Reject a selection window or pool that could never hold one batch."""
+    if prio.kind in ("sb_loss", "sb_entropy"):
+        name, capacity = "histogram_capacity", prio.histogram_capacity
+    elif prio.kind == "vr" and prio.pool_capacity is not None:
+        name, capacity = "pool_capacity", prio.pool_capacity
+    else:
+        return
+    if capacity < batch_size:
+        raise ConfigurationError(
+            f"{context}: {name} {capacity} smaller than batch_size {batch_size}"
+        )
+
+
 def _parse_json(path) -> dict:
     text = Path(path).read_text()
     try:
@@ -176,7 +190,9 @@ def experiment_config_from_dict(raw: dict, context: str = "config") -> Experimen
             PrioritizerConfig, raw.pop("prioritizer"), f"{context}.prioritizer"
         )
     parts.update(raw)
-    return _build(ExperimentConfig, parts, context)
+    cfg = _build(ExperimentConfig, parts, context)
+    _check_capacity(cfg.prioritizer, cfg.trainer.batch_size, f"{context}.prioritizer")
+    return cfg
 
 
 def benchmark_config_from_dict(raw: dict, context: str = "config") -> BenchmarkConfig:
@@ -197,7 +213,10 @@ def benchmark_config_from_dict(raw: dict, context: str = "config") -> BenchmarkC
     if not isinstance(raw.get("corruption_grid", []), list):
         raise ConfigurationError(f"{context}.corruption_grid: expected a list")
     parts.update(raw)
-    return _build(BenchmarkConfig, parts, context)
+    cfg = _build(BenchmarkConfig, parts, context)
+    for i, variant in enumerate(cfg.variants):
+        _check_capacity(variant, cfg.trainer.batch_size, f"{context}.variants[{i}]")
+    return cfg
 
 
 def load_experiment_config(path) -> ExperimentConfig:

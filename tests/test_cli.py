@@ -99,6 +99,20 @@ class TestTrainCommand:
         assert code == 1
         assert "[diverged]" in capsys.readouterr().out
 
+    def test_run_without_evaluations_exits_two_naming_the_seed(self, tmp_path, capsys):
+        # 300 examples fill 4 batches of 64: 256 backprops, never the 512 of
+        # the first evaluation; this used to print "best test error nan" and exit 0
+        cfg = write_config(tmp_path, {
+            "dataset": {"num_train": 300, "num_test": 60},
+            "trainer": {"batch_size": 64, "total_epochs": 1},
+            "seeds": [3],
+        })
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed 3: a run has no evaluation points\n"
+        assert captured.out == ""
+
     def test_missing_config_flag_exits_two(self, capsys):
         assert main(["train"]) == 2
         assert "error:" in capsys.readouterr().err

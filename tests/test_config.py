@@ -95,6 +95,36 @@ class TestExperimentParsing:
         err = capsys.readouterr().err
         assert f"{path}.{section}: {field}: expected int, got {value!r}" in err, err
 
+    @pytest.mark.parametrize(
+        "command, raw, where",
+        [
+            ("train", {"prioritizer": {"kind": "sb_loss", "histogram_capacity": 32}},
+             "prioritizer: histogram_capacity 32 smaller than batch_size 64"),
+            ("train", {"prioritizer": {"kind": "vr", "pool_capacity": 48}},
+             "prioritizer: pool_capacity 48 smaller than batch_size 64"),
+            ("benchmark", {"variants": [{"kind": "uniform"},
+                                        {"kind": "sb_entropy", "histogram_capacity": 32}]},
+             "variants[1]: histogram_capacity 32 smaller than batch_size 64"),
+        ],
+    )
+    def test_capacity_below_batch_exits_two_before_writing(self, tmp_path, capsys,
+                                                          command, raw, where):
+        # used to fail only inside the first run, unlocated, after the
+        # resolved config, the dataset snapshot and seed_1/ were written
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps({**raw, "trainer": {"batch_size": 64}}))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}.{where}\n"
+        assert not out.exists()
+
+    def test_capacity_of_an_unused_selector_is_not_checked(self):
+        cfg = experiment_config_from_dict(
+            {"trainer": {"batch_size": 64},
+             "prioritizer": {"kind": "uniform", "histogram_capacity": 32, "pool_capacity": 8}}
+        )
+        assert cfg.prioritizer.histogram_capacity == 32
+
     def test_string_where_a_list_belongs_rejected(self):
         # a string used to be split into characters: "12" became seeds (1, 2)
         with pytest.raises(ConfigurationError, match=r"config: seeds: expected a list, got '12'"):
@@ -160,8 +190,10 @@ class TestBenchmarkParsing:
         assert cfg.corruption_grid == (("gaussian", 0.2), ("random_label", 0.5))
 
     def test_explicit_variants_survive(self):
+        # the pool must hold a batch, so the batch is below the default 128
         cfg = benchmark_config_from_dict(
-            {"variants": [{"kind": "uniform"}, {"kind": "vr", "pool_capacity": 64}]}
+            {"variants": [{"kind": "uniform"}, {"kind": "vr", "pool_capacity": 64}],
+             "trainer": {"batch_size": 64}}
         )
         assert [v.label() for v in cfg.variants] == ["uniform", "vr_p64"]
 

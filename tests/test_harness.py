@@ -28,7 +28,7 @@ from lossprio.harness import (
     speedup_report_from_json,
     write_metrics_csv,
 )
-from lossprio.model import TrainerConfig, init_params
+from lossprio.model import TrainerConfig, init_params, load_checkpoint
 from lossprio.prioritizers import PrioritizerConfig
 
 
@@ -434,3 +434,29 @@ def test_selection_streams_match_pinned_hashes():
         blob = json.dumps([log, metrics.eval_errors, metrics.gate_on_series])
         got[name] = hashlib.sha256(blob.encode()).hexdigest()
     assert got == PINNED_SELECTION_STREAMS
+
+
+# sha256 of the final ModelParams.vector bytes per variant, recorded before
+# the parameters became one flat vector.  A change here means some update
+# moved in its last bit; a performance change must keep them.
+PINNED_FINAL_PARAMS = {
+    "uniform": "df643050c00b58d2eb155b6238c9b78e8c41b09bc4108056944659bba75d5413",
+    "sb_loss": "e3654804797a86fcc5e665e24582fbfba90fb8911d1082ed939d350959ceeba9",
+    "vr": "1bacfee47f15af752ef27edfbe6cc413e95ef2b46ed9c43eac50ee8ee5d73db5",
+}
+
+
+def test_final_parameters_match_pinned_hashes(tmp_path):
+    train, test = tiny_pair(num_train=600)
+    train = apply_corruption(train, CorruptionSpec(kind="random_label", fraction=0.3, seed=7))
+    variants = {
+        "uniform": PrioritizerConfig(kind="uniform", seed=1),
+        "sb_loss": PrioritizerConfig(kind="sb_loss", beta=1.0, seed=1),
+        "vr": PrioritizerConfig(kind="vr", pool_capacity=80, gate_threshold=0.05, seed=1),
+    }
+    got = {}
+    for name, cfg in variants.items():
+        path = tmp_path / f"{name}.npz"
+        run_training(train, test, tiny_trainer(), cfg, eval_every=64, checkpoint_path=path)
+        got[name] = hashlib.sha256(load_checkpoint(path).vector.tobytes()).hexdigest()
+    assert got == PINNED_FINAL_PARAMS

@@ -135,6 +135,30 @@ class TestBackwardAndUpdate:
         np.testing.assert_allclose(params.weights[0], expect_w, rtol=1e-12)
         np.testing.assert_allclose(params.biases[0], expect_b, rtol=1e-12)
 
+    def test_steps_bit_equal_to_per_layer_reference(self):
+        # the flat-vector update against the per-layer rule written out from
+        # loss_and_gradients: v = m*v + (g + wd*w); w = w - lr*v, to the bit
+        rng = np.random.default_rng(13)
+        params = init_params([6, 9, 7, 4], rng)
+        ref_w = [w.copy() for w in params.weights]
+        ref_b = [b.copy() for b in params.biases]
+        vel_w = [np.zeros_like(w) for w in ref_w]
+        vel_b = [np.zeros_like(b) for b in ref_b]
+        cfg = TrainerConfig(momentum=0.9, weight_decay=0.01)
+        state = init_sgd_state(params)
+        for step, lr in enumerate((0.3, 0.3, 0.1, 0.05, 0.05, 0.01)):
+            X, y = rng.standard_normal((11, 6)), rng.integers(4, size=11)
+            ref_loss, (gw, gb) = loss_and_gradients(ModelParams(ref_w, ref_b), X, y)
+            for i in range(len(ref_w)):
+                vel_w[i] = cfg.momentum * vel_w[i] + (gw[i] + cfg.weight_decay * ref_w[i])
+                vel_b[i] = cfg.momentum * vel_b[i] + (gb[i] + cfg.weight_decay * ref_b[i])
+                ref_w[i] = ref_w[i] - lr * vel_w[i]
+                ref_b[i] = ref_b[i] - lr * vel_b[i]
+            assert sgd_step(params, X, y, cfg, state, lr) == ref_loss
+            for got, want in zip(params.weights + params.biases, ref_w + ref_b):
+                assert np.array_equal(got, want), f"step {step}"
+        assert np.shares_memory(params.weights[1], params.vector)
+
     def test_zero_learning_rate_keeps_params(self):
         rng = np.random.default_rng(6)
         params = init_params([4, 8, 3], rng)
