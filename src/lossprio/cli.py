@@ -85,7 +85,7 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
         cfg.seeds, out_dir, threads,
     )
     for seed, metrics in zip(cfg.seeds, runs):
-        if not (metrics.diverged or metrics.eval_errors):
+        if metrics.status == "no_eval":
             raise ConfigurationError(f"seed {seed}: a run has no evaluation points")
     for seed, metrics in zip(cfg.seeds, runs):
         flag = " [diverged]" if metrics.diverged else ""
@@ -173,7 +173,17 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(",") if part.strip() != "")
     except ValueError:
-        raise ConfigurationError(f"--seed expects comma-separated integers, got {text!r}")
+        raise ConfigurationError("expected comma-separated integers") from None
+
+
+def _with_seeds(cfg, text: str | None):
+    """cfg with the --seed list, when given, in place of its own seeds."""
+    if not text:
+        return cfg
+    try:
+        return replace(cfg, seeds=_parse_seeds(text))
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"--seed {text}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,23 +209,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "selftest":
             return cmd_selftest()
         if args.command == "train":
             if not args.config:
                 raise ConfigurationError("train requires --config")
-            cfg = load_experiment_config(args.config)
-            if args.seed:
-                cfg = replace(cfg, seeds=_parse_seeds(args.seed))
+            cfg = _with_seeds(load_experiment_config(args.config), args.seed)
             out = _resolve_output_dir(args.out, cfg.output_dir, Path(args.config).stem)
-            return cmd_train(cfg, out, max(1, args.threads))
+            return cmd_train(cfg, out, args.threads)
         if args.command == "benchmark":
             cfg = load_benchmark_config(args.config) if args.config else BenchmarkConfig()
-            if args.seed:
-                cfg = replace(cfg, seeds=_parse_seeds(args.seed))
+            cfg = _with_seeds(cfg, args.seed)
             name = Path(args.config).stem if args.config else "benchmark"
             out = _resolve_output_dir(args.out, cfg.output_dir, name)
-            return cmd_benchmark(cfg, out, max(1, args.threads))
+            return cmd_benchmark(cfg, out, args.threads)
         raise ConfigurationError(f"unknown command {args.command!r}")
     except (ConfigurationError, IngestionError, AggregationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

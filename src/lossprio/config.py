@@ -38,6 +38,18 @@ def _convert_each(name: str, convert, values) -> tuple:
     return tuple(out)
 
 
+def _seed_tuple(values) -> tuple[int, ...]:
+    """A nonempty tuple of distinct integer seeds: a repeated seed would write
+    one run directory from two runs and count twice in the aggregates."""
+    seeds = _convert_each("seeds", int, values)
+    if not seeds:
+        raise ConfigurationError("seeds must not be empty")
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:
+        raise ConfigurationError(f"seeds list seed {repeated} twice")
+    return seeds
+
+
 def _grid_cell(cell) -> tuple[str, float]:
     if isinstance(cell, dict):
         cell = (cell.get("kind", "none"), cell.get("fraction", 0.0))
@@ -83,9 +95,7 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", _convert_each("seeds", int, self.seeds))
-        if not self.seeds:
-            raise ConfigurationError("seeds must not be empty")
+        object.__setattr__(self, "seeds", _seed_tuple(self.seeds))
         if self.eval_every < 1:
             raise ConfigurationError("eval_every must be positive")
 
@@ -105,11 +115,9 @@ class BenchmarkConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", _convert_each("seeds", int, self.seeds))
+        object.__setattr__(self, "seeds", _seed_tuple(self.seeds))
         grid = _convert_each("corruption_grid", _grid_cell, self.corruption_grid)
         object.__setattr__(self, "corruption_grid", grid)
-        if not self.seeds:
-            raise ConfigurationError("seeds must not be empty")
         if not grid:
             raise ConfigurationError("corruption_grid must not be empty")
         if self.eval_every < 1:
@@ -249,27 +257,32 @@ def resolved_config_json(cfg) -> str:
 
 def build_datasets(cfg: ExperimentConfig | BenchmarkConfig,
                    corruption: CorruptionSpec | None = None) -> tuple[Dataset, Dataset]:
-    """Materialize the train/test pair, applying corruption to train only."""
+    """Materialize the train/test pair, applying corruption to train only.
+
+    Synthetic train rows are corrupted in place as they are generated; IDX
+    splits are corrupted after both are loaded, since the label range spans
+    both files.
+    """
     ds = cfg.dataset
+    if corruption is None:
+        corruption = getattr(cfg, "corruption", CorruptionSpec())
     if ds.type == "synthetic":
-        train, test = generate_synthetic_pair(
+        return generate_synthetic_pair(
             ds.num_train,
             ds.num_test,
             ds.num_classes,
             ds.feature_dim,
             ds.seed,
             ds.cluster_spread,
+            corruption,
         )
-    else:
-        train = load_idx_images(
-            ds.train_images, ds.train_labels, limit=ds.limit, split="train"
-        )
-        test = load_idx_images(
-            ds.test_images, ds.test_labels, limit=ds.limit, split="test"
-        )
-        classes = max(train.num_classes, test.num_classes)
-        train = replace(train, num_classes=classes)
-        test = replace(test, num_classes=classes)
-    if corruption is None:
-        corruption = getattr(cfg, "corruption", CorruptionSpec())
+    train = load_idx_images(
+        ds.train_images, ds.train_labels, limit=ds.limit, split="train"
+    )
+    test = load_idx_images(
+        ds.test_images, ds.test_labels, limit=ds.limit, split="test"
+    )
+    classes = max(train.num_classes, test.num_classes)
+    train = replace(train, num_classes=classes)
+    test = replace(test, num_classes=classes)
     return apply_corruption(train, corruption), test

@@ -22,6 +22,9 @@ from .errors import ConfigurationError, IngestionError
 
 _IMAGES_MAGIC = 2051
 _LABELS_MAGIC = 2049
+# Row blocks of about this many feature bytes bound the temporaries of the
+# in-place generation and corruption passes.
+_CHUNK_BYTES = 1 << 20
 
 
 class CorruptionKind(Enum):
@@ -177,24 +180,43 @@ def generate_synthetic_pair(
     feature_dim: int,
     seed: int,
     cluster_spread: float = 2.0,
+    corruption: CorruptionSpec | None = None,
 ) -> tuple[Dataset, Dataset]:
-    """Train and test splits drawn from the same class means and noise scale."""
+    """Train and test splits drawn from the same class means and noise scale.
+
+    A corruption is applied to the freshly drawn train rows in place, exactly
+    as apply_corruption would apply it to the clean train split, so no clean
+    copy of the train features is ever held beside the corrupted one.
+    """
     if num_train < num_classes or num_test < num_classes:
         raise ConfigurationError("need at least one example per class in each split")
     feats, labels = _synthetic_arrays(
         num_train + num_test, num_classes, feature_dim, seed, cluster_spread
     )
-    return (Dataset(feats[:num_train], labels[:num_train], num_classes, "train"),
+    codes = np.zeros(num_train, dtype=np.int8)
+    if corruption is not None:
+        _corrupt_rows(feats[:num_train], labels[:num_train], codes, num_classes, corruption)
+    return (Dataset(feats[:num_train], labels[:num_train], num_classes, "train", codes),
             Dataset(feats[num_train:], labels[num_train:], num_classes, "test"))
 
 
+def _row_chunks(num_rows: int, feature_dim: int):
+    """(start, stop) bounds of consecutive row blocks of about _CHUNK_BYTES."""
+    step = max(1, _CHUNK_BYTES // (8 * feature_dim))
+    return ((lo, min(lo + step, num_rows)) for lo in range(0, num_rows, step))
+
+
 def _synthetic_arrays(num_examples, num_classes, feature_dim, seed, cluster_spread):
+    """means[labels] + cluster_spread * noise, formed in the noise array itself."""
     if cluster_spread <= 0:
         raise ConfigurationError("cluster_spread must be positive")
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(num_classes, feature_dim))
     labels = np.arange(num_examples, dtype=np.int64) % num_classes
-    feats = means[labels] + cluster_spread * rng.standard_normal((num_examples, feature_dim))
+    feats = rng.standard_normal((num_examples, feature_dim))
+    feats *= cluster_spread
+    for lo, hi in _row_chunks(num_examples, feature_dim):
+        feats[lo:hi] += means[labels[lo:hi]]
     return feats, labels
 
 
@@ -278,7 +300,8 @@ def load_idx_images(
 
     take = count if limit is None else min(limit, count)
     pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
-    feats = pixels.reshape(count, rows * cols)[:take].astype(np.float64) / 255.0
+    feats = pixels.reshape(count, rows * cols)[:take].astype(np.float64)
+    feats /= 255.0
     labels = np.frombuffer(raw_labels, dtype=np.uint8, count=count, offset=8)[:take]
     num_classes = int(labels.max()) + 1 if take else 1
     return Dataset(feats, labels, max(num_classes, 2), split)
@@ -340,31 +363,54 @@ def apply_corruption(dataset: Dataset, spec: CorruptionSpec) -> Dataset:
 
     The chosen index set depends only on the seed and N, so different kinds at
     the same seed hit the same examples.  Chosen rows take, in ascending row
-    order, the draws corrupt_* would make one example at a time.
+    order, the draws corrupt_* would make one example at a time.  The result
+    holds corrupted copies of the arrays the kind changes; ``dataset`` itself
+    is left as it was.
     """
     if dataset.split != "train":
         raise ConfigurationError("corruption is only defined for the train split")
-    n_corrupt = math.floor(spec.fraction * len(dataset))
-    if spec.kind is CorruptionKind.NONE or n_corrupt == 0:
+    if spec.kind is CorruptionKind.NONE or math.floor(spec.fraction * len(dataset)) == 0:
         return dataset
-
-    rng = np.random.default_rng(spec.seed)
-    rows = np.sort(rng.choice(len(dataset), size=n_corrupt, replace=False))
     feats, labels = dataset.stack()
     if spec.kind is CorruptionKind.RANDOM_LABEL:
         labels = labels.copy()
-        labels[rows] = rng.integers(dataset.num_classes, size=n_corrupt)
-    elif spec.kind is CorruptionKind.SHUFFLED_PIXELS:
-        perm = make_task_permutation(dataset.feature_dim, spec.seed)
-        feats = feats.copy()
-        feats[rows] = dataset.features[np.ix_(rows, perm)]
     else:
-        mu, sigma = feats[rows].mean(axis=1), np.sqrt(feats[rows].var(axis=1))
         feats = feats.copy()
-        feats[rows] = rng.normal(mu[:, None], sigma[:, None], size=(n_corrupt, feats.shape[1]))
     codes = dataset.kind_codes.copy()
-    codes[rows] = CORRUPTION_KINDS.index(spec.kind)
+    _corrupt_rows(feats, labels, codes, dataset.num_classes, spec)
     return Dataset(feats, labels, dataset.num_classes, dataset.split, codes)
+
+
+def _corrupt_rows(feats, labels, codes, num_classes: int, spec: CorruptionSpec) -> None:
+    """apply_corruption's transform, written into writable train arrays.
+
+    Only the array the kind changes is written, besides ``codes``.  Features
+    are gathered, redrawn and written back one block of chosen rows at a time,
+    which gives the same bytes as one pass over all of them.
+    """
+    n_corrupt = math.floor(spec.fraction * len(labels))
+    if spec.kind is CorruptionKind.NONE or n_corrupt == 0:
+        return
+    rng = np.random.default_rng(spec.seed)
+    rows = np.sort(rng.choice(len(labels), size=n_corrupt, replace=False))
+    codes[rows] = CORRUPTION_KINDS.index(spec.kind)
+    if spec.kind is CorruptionKind.RANDOM_LABEL:
+        labels[rows] = rng.integers(num_classes, size=n_corrupt)
+        return
+    shuffle = spec.kind is CorruptionKind.SHUFFLED_PIXELS
+    perm = make_task_permutation(feats.shape[1], spec.seed) if shuffle else None
+    for lo, hi in _row_chunks(n_corrupt, feats.shape[1]):
+        chosen = rows[lo:hi]
+        block = feats[chosen]
+        if shuffle:
+            feats[chosen] = block[:, perm]
+            continue
+        # rng.normal(mu, sigma) draws mu + sigma * standard_normal per element
+        mu, sigma = block.mean(axis=1, keepdims=True), np.sqrt(block.var(axis=1, keepdims=True))
+        rng.standard_normal(out=block)
+        block *= sigma
+        block += mu
+        feats[chosen] = block
 
 
 def write_snapshot_csv(dataset: Dataset, path) -> None:

@@ -21,6 +21,7 @@ from .datasets import Dataset
 from .errors import AggregationError, ConfigurationError, TrainingDivergedError
 from .model import (
     TrainerConfig,
+    Workspace,
     forward,
     init_params,
     init_sgd_state,
@@ -31,6 +32,7 @@ from .model import (
 from .prioritizers import PrioritizerConfig, make_prioritizer
 
 METRICS_HEADER = ["iteration", "backprops", "test_error", "corrupted_frac_batch", "gate_on"]
+EVAL_CHUNK = 4096  # test rows per evaluation forward
 
 
 @dataclass
@@ -69,6 +71,13 @@ class RunMetrics:
         return min(self.eval_errors)
 
     @property
+    def status(self) -> str:
+        """ok, diverged, or no_eval for a run that never reached an evaluation."""
+        if self.diverged:
+            return "diverged"
+        return "ok" if self.eval_errors else "no_eval"
+
+    @property
     def gate_on_fraction(self) -> float | None:
         if self.gate_on_series is None:
             return None
@@ -77,15 +86,16 @@ class RunMetrics:
         return sum(self.gate_on_series) / len(self.gate_on_series)
 
 
-def evaluate_error(params, features, labels, chunk_size: int = 4096) -> float:
-    """Fraction of examples misclassified."""
+def evaluate_error(params, features, labels, chunk_size: int = EVAL_CHUNK,
+                   workspace: Workspace | None = None) -> float:
+    """Fraction of examples misclassified; a workspace must hold chunk_size rows."""
     n = len(labels)
     if n == 0:
         raise ConfigurationError("cannot evaluate on an empty split")
     wrong = 0
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
-        result = forward(params, features[start:stop], labels[start:stop])
+        result = forward(params, features[start:stop], labels[start:stop], workspace)
         wrong += int((result.predictions != labels[start:stop]).sum())
     return wrong / n
 
@@ -125,6 +135,7 @@ def run_training(
     arch = [train.feature_dim, *trainer_cfg.hidden_layers, train.num_classes]
     params = init_params(arch, rng)
     state = init_sgd_state(params)
+    workspace = Workspace(params, max(batch, min(len(test), EVAL_CHUNK)))
     prio = make_prioritizer(prio_cfg, batch)
 
     metrics = RunMetrics(
@@ -145,7 +156,8 @@ def run_training(
                 # without a scoring forward, sgd_step's finite check still
                 # stops a divergent run at this update
                 if prio.needs_scores:
-                    scored = forward(params, feats[rows], labels[rows])
+                    scored = forward(params, *workspace.gather(feats, labels, rows),
+                                     workspace)
                     if not np.isfinite(scored.losses).all():
                         raise TrainingDivergedError(
                             "non-finite loss while scoring", iteration=state.updates
@@ -156,8 +168,8 @@ def run_training(
                 gate_flags = prio.consume_gate_flags()
                 for pos, chosen_ids in enumerate(emitted):
                     chosen_rows = np.array(chosen_ids)
-                    sgd_step(params, feats[chosen_rows], labels[chosen_rows],
-                             trainer_cfg, state, lr)
+                    sgd_step(params, *workspace.gather(feats, labels, chosen_rows),
+                             trainer_cfg, state, lr, workspace)
                     np.add.at(picks, chosen_rows, 1)
                     metrics.backprops_series.append(state.backprops)
                     metrics.corrupted_frac_series.append(float(mask[chosen_rows].mean()))
@@ -166,7 +178,8 @@ def run_training(
                     if batch_log is not None:
                         batch_log.append(list(chosen_ids))
                     if state.backprops >= next_eval:
-                        err = evaluate_error(params, test_feats, test_labels)
+                        err = evaluate_error(params, test_feats, test_labels,
+                                             workspace=workspace)
                         metrics.eval_iterations.append(metrics.num_iterations - 1)
                         metrics.eval_errors.append(err)
                         while next_eval <= state.backprops:
@@ -372,12 +385,12 @@ def read_picks_csv(path) -> dict[int, int]:
 
 
 def save_run(metrics: RunMetrics, run_dir) -> None:
-    """Write metrics.csv, picks.csv, and a small run.json with scalars."""
+    """Write metrics.csv, picks.csv, and a run.json with the seed and status."""
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     write_metrics_csv(metrics, run_dir / "metrics.csv")
     write_picks_csv(metrics, run_dir / "picks.csv")
-    meta = {"seed": metrics.seed, "diverged": metrics.diverged}
+    meta = {"seed": metrics.seed, "status": metrics.status}
     (run_dir / "run.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
 
 
@@ -385,7 +398,7 @@ def load_run(run_dir) -> RunMetrics:
     run_dir = Path(run_dir)
     meta = json.loads((run_dir / "run.json").read_text())
     metrics = read_metrics_csv(
-        run_dir / "metrics.csv", seed=meta["seed"], diverged=meta["diverged"]
+        run_dir / "metrics.csv", seed=meta["seed"], diverged=meta["status"] == "diverged"
     )
     metrics.pick_counts = read_picks_csv(run_dir / "picks.csv")
     return metrics

@@ -105,6 +105,40 @@ def init_params(architecture, rng) -> ModelParams:
     return ModelParams(weights, biases)
 
 
+class Workspace:
+    """Arrays that forward, sgd_step and evaluate_error write into instead of
+    allocating: a batch gathered from a split, each layer's activations, the
+    back-propagated deltas, the flat gradient and the weight-decay term.
+
+    Calls take the first n rows of each buffer, so one workspace serves any
+    batch of at most ``rows`` examples.  Whatever a call returns that lives
+    in the workspace (a ForwardResult's probabilities, say) is overwritten by
+    the next call given it, so two threads must never share one.
+    """
+
+    def __init__(self, params: ModelParams, rows: int):
+        arch = params.architecture
+        self.features = np.empty((rows, arch[0]))
+        self.labels = np.empty(rows, dtype=np.int64)
+        self.acts = [np.empty((rows, width)) for width in arch[1:]]
+        self.deltas = [np.empty((rows, width)) for width in arch[1:-1]]
+        self.grad = ModelParams.on_vector(np.empty_like(params.vector), arch)
+        self.decay = np.empty_like(params.vector)
+
+    def gather(self, features, labels, rows) -> tuple[np.ndarray, np.ndarray]:
+        """features[rows] and labels[rows], written into the workspace."""
+        n = len(rows)
+        # callers pass row ids of the split, so "clip" never alters an index;
+        # unlike the default "raise" it writes into `out` without a temporary
+        return (np.take(features, rows, axis=0, out=self.features[:n], mode="clip"),
+                np.take(labels, rows, out=self.labels[:n], mode="clip"))
+
+
+def _out(buffers, i: int, rows: int):
+    """The first ``rows`` rows of buffers[i], or None to let numpy allocate."""
+    return None if buffers is None else buffers[i][:rows]
+
+
 @dataclass
 class ForwardResult:
     """Batch outputs: per-example loss, class distribution, and argmax class."""
@@ -114,12 +148,14 @@ class ForwardResult:
     predictions: np.ndarray
 
 
-def _activations(params: ModelParams, features: np.ndarray) -> list[np.ndarray]:
+def _activations(params: ModelParams, features: np.ndarray,
+                 workspace: Workspace | None = None) -> list[np.ndarray]:
     """Post-activation values per layer; the last entry is the logits."""
     acts = [features]
     last = len(params.weights) - 1
+    buffers = None if workspace is None else workspace.acts
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = acts[-1] @ w
+        z = np.matmul(acts[-1], w, out=_out(buffers, i, len(features)))
         z += b
         acts.append(z if i == last else np.tanh(z, out=z))
     return acts
@@ -132,8 +168,9 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def forward(params: ModelParams, features: np.ndarray, labels: np.ndarray) -> ForwardResult:
-    """Score a batch without touching any state."""
+def forward(params: ModelParams, features: np.ndarray, labels: np.ndarray,
+            workspace: Workspace | None = None) -> ForwardResult:
+    """Score a batch without touching any state but the workspace's."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2:
@@ -148,27 +185,32 @@ def forward(params: ModelParams, features: np.ndarray, labels: np.ndarray) -> Fo
     num_classes = params.weights[-1].shape[1]
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ConfigurationError(f"labels outside [0, {num_classes})")
-    logits = _activations(params, features)[-1]
+    logits = _activations(params, features, workspace)[-1]
     predictions = logits.argmax(axis=1)
     logp = _log_softmax(logits)
     losses = -logp[np.arange(len(labels)), labels]
     return ForwardResult(losses, np.exp(logp, out=logp), predictions)
 
 
-def _backward(params: ModelParams, features, labels) -> tuple[float, ModelParams]:
+def _backward(params: ModelParams, features, labels,
+              workspace: Workspace | None = None) -> tuple[float, ModelParams]:
     """Mean cross-entropy over the batch and its gradient, laid out like params."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     batch = features.shape[0]
     rows = np.arange(batch)
-    acts = _activations(params, features)
+    acts = _activations(params, features, workspace)
     logp = _log_softmax(acts[-1])
     loss = float(-logp[rows, labels].mean())
 
     delta = np.exp(logp, out=logp)
     delta[rows, labels] -= 1.0
     delta /= batch
-    grad = ModelParams.on_vector(np.empty_like(params.vector), params.architecture)
+    if workspace is None:
+        grad = ModelParams.on_vector(np.empty_like(params.vector), params.architecture)
+    else:
+        grad = workspace.grad
+    deltas = None if workspace is None else workspace.deltas
     for i in range(len(params.weights) - 1, -1, -1):
         np.matmul(acts[i].T, delta, out=grad.weights[i])
         np.sum(delta, axis=0, out=grad.biases[i])
@@ -176,7 +218,7 @@ def _backward(params: ModelParams, features, labels) -> tuple[float, ModelParams
             # tanh'(z) = 1 - a**2, written over the activations already used
             slope = np.multiply(acts[i], acts[i], out=acts[i])
             np.subtract(1.0, slope, out=slope)
-            slope *= delta @ params.weights[i].T
+            slope *= np.matmul(delta, params.weights[i].T, out=_out(deltas, i - 1, batch))
             delta = slope
     return loss, grad
 
@@ -206,18 +248,19 @@ def init_sgd_state(params: ModelParams) -> SGDState:
 
 
 def sgd_step(params: ModelParams, features, labels, cfg: TrainerConfig, state: SGDState,
-             lr: float) -> float:
+             lr: float, workspace: Workspace | None = None) -> float:
     """One momentum SGD update on a batch, in place.  Returns the batch loss.
 
     Update order: weight decay is added to the gradient, the result is folded
     into the momentum buffer, then the step is applied at the given rate.
     Nothing changes when the loss or the gradient is not finite.
     """
-    loss, grad = _backward(params, features, labels)
+    loss, grad = _backward(params, features, labels, workspace)
     step = grad.vector
     if not (math.isfinite(loss) and np.isfinite(step).all()):
         raise TrainingDivergedError("non-finite loss or gradient", iteration=state.updates)
-    step += cfg.weight_decay * params.vector
+    step += np.multiply(params.vector, cfg.weight_decay,
+                        out=None if workspace is None else workspace.decay)
     state.velocity *= cfg.momentum
     state.velocity += step
     np.multiply(state.velocity, lr, out=step)

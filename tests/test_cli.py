@@ -98,6 +98,8 @@ class TestTrainCommand:
             code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert code == 1
         assert "[diverged]" in capsys.readouterr().out
+        run = json.loads((tmp_path / "o" / "seed_1" / "run.json").read_text())
+        assert run == {"seed": 1, "status": "diverged"}
 
     def test_run_without_evaluations_exits_two_naming_the_seed(self, tmp_path, capsys):
         # 300 examples fill 4 batches of 64: 256 backprops, never the 512 of
@@ -112,6 +114,45 @@ class TestTrainCommand:
         captured = capsys.readouterr()
         assert captured.err == "error: seed 3: a run has no evaluation points\n"
         assert captured.out == ""
+
+    def test_run_without_evaluations_records_its_status(self, tmp_path):
+        # the run files are written before the exit 2; run.json used to say
+        # {"diverged": false} as if the run were fine
+        cfg = write_config(tmp_path, {
+            "dataset": {"num_train": 300, "num_test": 60},
+            "trainer": {"batch_size": 64, "total_epochs": 1},
+            "seeds": [3],
+        })
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        run = json.loads((out / "seed_3" / "run.json").read_text())
+        assert run == {"seed": 3, "status": "no_eval"}
+
+    def test_repeated_seed_in_config_exits_two_naming_it(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(SMALL_EXPERIMENT, seeds=[2, 1, 2]))
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: seeds list seed 2 twice\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_repeated_seed_flag_exits_two_naming_it(self, tmp_path, capsys, command):
+        payload = SMALL_EXPERIMENT if command == "train" else SMALL_BENCHMARK
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        argv = [command, "--config", str(cfg), "--out", str(out), "--seed", "3,3"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: --seed 3,3: seeds list seed 3 twice\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exits_two(self, tmp_path, capsys, threads):
+        cfg = write_config(tmp_path, SMALL_EXPERIMENT)
+        out = tmp_path / "o"
+        argv = ["train", "--config", str(cfg), "--out", str(out), "--threads", threads]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --threads must be at least 1, got {threads}\n"
+        assert not out.exists()
 
     def test_missing_config_flag_exits_two(self, capsys):
         assert main(["train"]) == 2

@@ -1,11 +1,14 @@
 """Dataset generation, IDX ingestion, and the corruption transforms."""
 
+import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from lossprio import datasets
 from lossprio.config import build_datasets, experiment_config_from_dict
 from lossprio.datasets import (
     CORRUPTION_KINDS,
@@ -57,6 +60,21 @@ class TestSyntheticGeneration:
         assert np.array_equal(train.stack()[0], solo.stack()[0])
         assert train.split == "train" and test.split == "test"
         assert len(test) == 100
+
+    def test_equals_the_whole_array_formula(self):
+        # generation adds the class means one block of rows at a time; the
+        # bytes must be those of means[labels] + spread * noise in one pass,
+        # here over a tail block shorter than the rest
+        num, classes, dim, spread = 5000, 7, 64, 1.5
+        block = datasets._CHUNK_BYTES // (8 * dim)
+        assert num > 2 * block and num % block
+        rng = np.random.default_rng(12)
+        means = rng.normal(size=(classes, dim))
+        labels = np.arange(num) % classes
+        expected = means[labels] + spread * rng.standard_normal((num, dim))
+        ds = generate_synthetic(num, classes, dim, seed=12, cluster_spread=spread)
+        assert ds.features.tobytes() == expected.tobytes()
+        assert ds.labels.tolist() == labels.tolist()
 
     @pytest.mark.parametrize(
         "num, classes, dim",
@@ -354,6 +372,61 @@ class TestDatasetValidation:
     def test_from_arrays_shape_mismatch(self):
         with pytest.raises(ConfigurationError):
             dataset_from_arrays(np.zeros((3, 2)), np.zeros(4), 2)
+
+
+# sha256 over train features, labels and kind codes, then test features and
+# labels, as built before generation and corruption worked in place.
+BUILD_9000x64 = {
+    "none": "2c872b112a0eba1d734057e59424733e2f7b29b213b372b10cc4aeb03e1d7086",
+    "random_label": "4ac1acdeb58fee2d337ccf6946ee18ca4c3291c2d671c759f16d027ba2aedd40",
+    "shuffled_pixels": "be76fceb77750b9c9195ea65bcafa624f115539f1d122efe6af3a1bd182d5165",
+    "gaussian": "a19f510fc68eca5ec7feca3ccabb8d0427719bec1f0b92739c0ad50dc82e5167",
+}
+
+
+def _build(num_train, num_test, dim, kind):
+    cfg = experiment_config_from_dict(
+        {"dataset": {"num_train": num_train, "num_test": num_test, "feature_dim": dim,
+                     "seed": 4}})
+    fraction = 0.0 if kind == "none" else 0.5
+    return build_datasets(cfg, CorruptionSpec(kind=kind, fraction=fraction, seed=7))
+
+
+@pytest.mark.parametrize("kind", sorted(BUILD_9000x64))
+def test_build_bytes_pinned(kind):
+    # 9000 rows of 64 features span more than two blocks of the in-place
+    # passes, and so do the 4500 corrupted rows
+    assert 4500 > 2 * (datasets._CHUNK_BYTES // (8 * 64))
+    train, test = _build(9000, 1000, 64, kind)
+    digest = hashlib.sha256()
+    for array in (train.features, train.labels, train.kind_codes, test.features, test.labels):
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == BUILD_9000x64[kind]
+
+
+def test_build_holds_no_second_copy_of_the_features():
+    # a clean train split beside its corrupted copy, or the means and the
+    # noise as two full arrays, would put the peak near twice the result
+    _build(200, 50, 64, "gaussian")  # first-call imports stay out of the trace
+    tracemalloc.start()
+    try:
+        train, test = _build(20000, 5000, 64, "gaussian")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    final = sum(a.nbytes for ds in (train, test)
+                for a in (ds.features, ds.labels, ds.kind_codes))
+    assert peak <= 1.25 * final, peak / final
+
+
+def test_apply_corruption_leaves_its_input_untouched():
+    ds = generate_synthetic(300, 4, 16, seed=2)
+    before = [a.copy() for a in (ds.features, ds.labels, ds.kind_codes)]
+    for kind in ("random_label", "shuffled_pixels", "gaussian"):
+        out = apply_corruption(ds, CorruptionSpec(kind=kind, fraction=0.5, seed=3))
+        assert out.corrupted_mask.sum() == 150
+    for array, copy in zip((ds.features, ds.labels, ds.kind_codes), before):
+        assert np.array_equal(array, copy)
 
 
 def test_run_path_builds_no_examples(monkeypatch):

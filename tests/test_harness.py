@@ -3,11 +3,13 @@
 import hashlib
 import json
 import statistics
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from lossprio.config import build_datasets, experiment_config_from_dict
 from lossprio.datasets import (
     CorruptionSpec,
     apply_corruption,
@@ -388,6 +390,8 @@ class TestRunSerialization:
     def test_save_and_load_run(self, tmp_path):
         metrics = self.run_real()
         save_run(metrics, tmp_path / "seed_5")
+        assert json.loads((tmp_path / "seed_5" / "run.json").read_text()) == {
+            "seed": 5, "status": "ok"}
         restored = load_run(tmp_path / "seed_5")
         assert restored.seed == metrics.seed
         assert restored.diverged == metrics.diverged
@@ -460,3 +464,25 @@ def test_final_parameters_match_pinned_hashes(tmp_path):
         run_training(train, test, tiny_trainer(), cfg, eval_every=64, checkpoint_path=path)
         got[name] = hashlib.sha256(load_checkpoint(path).vector.tobytes()).hexdigest()
     assert got == PINNED_FINAL_PARAMS
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt is Linux-only")
+def test_repeated_run_reuses_its_buffers():
+    # A run allocates its batch, activation, delta and gradient arrays once.
+    # Allocated per call instead, each eval forward's 1 MB of activations is a
+    # fresh mmap once nothing has raised glibc's mmap threshold, which an
+    # in-place dataset build no longer does: about 22k minor faults for this
+    # run, against about 800 with the buffers allocated once.
+    import resource
+
+    cfg = experiment_config_from_dict({
+        "corruption": {"kind": "random_label", "fraction": 0.5, "seed": 3},
+        "trainer": {"total_epochs": 5},
+    })
+    train, test = build_datasets(cfg)
+    prio = PrioritizerConfig(kind="uniform")
+    run_training(train, test, cfg.trainer, prio, cfg.eval_every)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_training(train, test, cfg.trainer, prio, cfg.eval_every)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 5000, faults

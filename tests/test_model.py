@@ -9,6 +9,7 @@ from lossprio.errors import ConfigurationError, TrainingDivergedError
 from lossprio.model import (
     ModelParams,
     TrainerConfig,
+    Workspace,
     forward,
     gradient_check,
     init_params,
@@ -158,6 +159,26 @@ class TestBackwardAndUpdate:
             for got, want in zip(params.weights + params.biases, ref_w + ref_b):
                 assert np.array_equal(got, want), f"step {step}"
         assert np.shares_memory(params.weights[1], params.vector)
+
+    def test_workspace_changes_no_bit(self):
+        # the same steps and forwards, written into one workspace with room
+        # for more rows than any call uses, give the bytes of allocating ones
+        rng = np.random.default_rng(14)
+        plain = init_params([6, 9, 7, 4], rng)
+        reused = plain.copy()
+        workspace = Workspace(reused, rows=16)
+        cfg = TrainerConfig(momentum=0.9, weight_decay=0.01)
+        states = init_sgd_state(plain), init_sgd_state(reused)
+        for rows in (11, 16, 3, 11):
+            X, y = rng.standard_normal((rows, 6)), rng.integers(4, size=rows)
+            want = forward(plain, X, y)
+            got = forward(reused, X, y, workspace)
+            for field in ("losses", "probabilities", "predictions"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+            assert (sgd_step(plain, X, y, cfg, states[0], lr=0.2)
+                    == sgd_step(reused, X, y, cfg, states[1], lr=0.2, workspace=workspace))
+            assert plain.vector.tobytes() == reused.vector.tobytes()
+        assert np.shares_memory(got.probabilities, workspace.acts[-1])
 
     def test_zero_learning_rate_keeps_params(self):
         rng = np.random.default_rng(6)
