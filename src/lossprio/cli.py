@@ -2,7 +2,7 @@
 
 Outputs land under --out when given, else the config's output_dir, else
 $LOSSPRIO_OUT, else ./runs.  Runs are deterministic: the same config and
-seeds produce byte-identical metrics files regardless of --threads.
+seeds produce byte-identical files and stdout regardless of --threads.
 """
 
 from __future__ import annotations
@@ -11,8 +11,10 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from collections import namedtuple
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import replace
+from multiprocessing import get_context
 from pathlib import Path
 
 from . import selftest
@@ -43,47 +45,70 @@ def _resolve_output_dir(cli_out: str | None, config_out: str | None, fallback_na
     return Path("runs") / fallback_name
 
 
-def _run_one_seed(train, test, trainer_cfg, prio_cfg, eval_every, seed, run_dir):
-    trainer = replace(trainer_cfg, seed=seed)
-    prio = replace(prio_cfg, seed=prio_cfg.seed + seed)
+# One training run: configs (cfg gives the dataset, trainer and eval_every), a
+# seed and a run directory, never arrays; a cell's first job writes snapshot.
+_Job = namedtuple("_Job", "cfg corruption prio seed run_dir snapshot")
+_worker_cells: dict = {}  # a spawned worker's last-built cell, kept across its jobs
+
+
+def _run_job(job: _Job, cells: dict | None = None):
+    """Train one job on its cell's splits, rebuilt unless they are the last built."""
+    cells = _worker_cells if cells is None else cells
+    if cells.get("key") != (job.cfg.dataset, job.corruption):
+        cells.clear()  # drop the last cell's splits before building the next
+        cells["splits"] = build_datasets(job.cfg, job.corruption)
+        cells["key"] = (job.cfg.dataset, job.corruption)
+    train, test = cells["splits"]
+    job.run_dir.mkdir(parents=True, exist_ok=True)
+    if job.snapshot is not None:
+        write_snapshot_csv(train, job.snapshot)
+    trainer = replace(job.cfg.trainer, seed=job.seed)
+    prio = replace(job.prio, seed=job.prio.seed + job.seed)
     metrics = run_training(
-        train, test, trainer, prio, eval_every,
-        checkpoint_path=run_dir / "model.npz" if run_dir else None,
+        train, test, trainer, prio, job.cfg.eval_every,
+        checkpoint_path=job.run_dir / "model.npz",
     )
-    if run_dir is not None:
-        save_run(metrics, run_dir)
+    save_run(metrics, job.run_dir)
     return metrics
 
 
-def _run_seeds(train, test, trainer_cfg, prio_cfg, eval_every, seeds, out_dir, threads):
-    """One training run per seed, optionally in parallel; order preserved."""
-    dirs = [out_dir / f"seed_{s}" if out_dir else None for s in seeds]
-    if out_dir is not None:
-        for d in dirs:
-            d.mkdir(parents=True, exist_ok=True)
-    if threads > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(_run_one_seed, train, test, trainer_cfg, prio_cfg,
-                            eval_every, s, d)
-                for s, d in zip(seeds, dirs)
-            ]
-            return [f.result() for f in futures]
-    return [
-        _run_one_seed(train, test, trainer_cfg, prio_cfg, eval_every, s, d)
-        for s, d in zip(seeds, dirs)
-    ]
+def _run_seeds(jobs: list[_Job], threads: int) -> list:
+    """Every job's RunMetrics in job order, from this process and threads - 1 workers.
+
+    Spawned workers, always fewer than the jobs, take jobs from the front of
+    the list; this process walks it from the back and runs each job it can
+    still cancel.  The first exception in job order is raised.  perfbench's
+    span probes patch this function by name.
+    """
+    workers = min(threads, len(jobs)) - 1
+    if workers:
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(name, "1")
+    pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn")) if workers else None
+    cells: dict = {}
+    try:
+        futures = [pool.submit(_run_job, job) if pool else Future() for job in jobs]
+        for i in reversed(range(len(jobs))):
+            if futures[i].cancel():
+                futures[i] = Future()
+                try:
+                    futures[i].set_result(_run_job(jobs[i], cells))
+                except Exception as exc:  # raised in job order below, as from a worker
+                    futures[i].set_exception(exc)
+        return [future.result() for future in futures]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)  # after an interrupt, start no queued job
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.json").write_text(resolved_config_json(cfg))
-    train, test = build_datasets(cfg)
-    write_snapshot_csv(train, out_dir / "dataset_snapshot.csv")
-    runs = _run_seeds(
-        train, test, cfg.trainer, cfg.prioritizer, cfg.eval_every,
-        cfg.seeds, out_dir, threads,
-    )
+    runs = _run_seeds([
+        _Job(cfg, cfg.corruption, cfg.prioritizer, seed, out_dir / f"seed_{seed}",
+             None if i else out_dir / "dataset_snapshot.csv")
+        for i, seed in enumerate(cfg.seeds)
+    ], threads)
     for seed, metrics in zip(cfg.seeds, runs):
         if metrics.status == "no_eval":
             raise ConfigurationError(f"seed {seed}: a run has no evaluation points")
@@ -114,22 +139,25 @@ def cmd_benchmark(cfg: BenchmarkConfig, out_dir: Path, threads: int) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "resolved_config.json").write_text(resolved_config_json(cfg))
     baseline_cfg = PrioritizerConfig(kind="uniform")
+    trained = [(baseline_cfg, "uniform_baseline")] + [
+        (v, v.label()) for v in cfg.variants if v.kind != "uniform"
+    ]
+    jobs = [
+        _Job(cfg, CorruptionSpec(kind=kind, fraction=fraction, seed=cfg.corruption_seed),
+             prio, seed, out_dir / f"{kind}_{fraction:g}" / name / f"seed_{seed}",
+             None if i or j else out_dir / f"{kind}_{fraction:g}" / "dataset_snapshot.csv")
+        for kind, fraction in cfg.corruption_grid
+        for i, (prio, name) in enumerate(trained)
+        for j, seed in enumerate(cfg.seeds)
+    ]
+    all_runs = _run_seeds(jobs, threads)
+    results = iter(all_runs)
     summary_rows = []
-    failed = False
 
     for kind, fraction in cfg.corruption_grid:
-        corruption = CorruptionSpec(kind=kind, fraction=fraction, seed=cfg.corruption_seed)
         cell = f"{kind}_{fraction:g}"
         cell_dir = out_dir / cell
-        cell_dir.mkdir(parents=True, exist_ok=True)
-        train, test = build_datasets(cfg, corruption)
-        write_snapshot_csv(train, cell_dir / "dataset_snapshot.csv")
-
-        base_runs = _run_seeds(
-            train, test, cfg.trainer, baseline_cfg, cfg.eval_every,
-            cfg.seeds, cell_dir / "uniform_baseline", threads,
-        )
-        failed = failed or any(m.diverged for m in base_runs)
+        base_runs = [next(results) for _ in cfg.seeds]
         base_agg = _aggregate(base_runs, f"{cell} {baseline_cfg.label()}")
 
         for variant in cfg.variants:
@@ -137,11 +165,7 @@ def cmd_benchmark(cfg: BenchmarkConfig, out_dir: Path, threads: int) -> int:
             if variant.kind == "uniform":
                 runs = base_runs
             else:
-                runs = _run_seeds(
-                    train, test, cfg.trainer, variant, cfg.eval_every,
-                    cfg.seeds, cell_dir / name, threads,
-                )
-                failed = failed or any(m.diverged for m in runs)
+                runs = [next(results) for _ in cfg.seeds]
             report = compute_speedup(base_agg, _aggregate(runs, f"{cell} {name}"))
             (cell_dir / name).mkdir(parents=True, exist_ok=True)
             (cell_dir / name / "speedup.json").write_text(report.to_json_line() + "\n")
@@ -159,7 +183,7 @@ def cmd_benchmark(cfg: BenchmarkConfig, out_dir: Path, threads: int) -> int:
         writer.writerow(["corruption", "fraction", "variant", "speedup", "best_error"])
         writer.writerows(summary_rows)
     print(f"summary written to {out_dir / 'summary.csv'}")
-    return 1 if failed else 0
+    return 1 if any(m.diverged for m in all_runs) else 0
 
 
 def cmd_selftest() -> int:
@@ -202,7 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", help="comma-separated seed list (overrides config)")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for parallel seeds (default 1)")
+                       help="processes to run the runs in: this one plus N-1 "
+                            "spawned workers (default 1)")
     return parser
 
 

@@ -135,6 +135,10 @@ class BenchmarkConfig:
             )
         for kind, fraction in grid:
             CorruptionSpec(kind=kind, fraction=fraction, seed=self.corruption_seed)
+        labels = [v.label() for v in self.variants]
+        repeated = next((x for i, x in enumerate(labels) if x in labels[:i]), None)
+        if repeated is not None:  # both would write one run directory
+            raise ConfigurationError(f"variants: two variants are labelled {repeated}")
 
 
 def _build(cls, raw: dict, context: str):

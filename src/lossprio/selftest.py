@@ -8,7 +8,6 @@ analytic gradient, and chi-square tests against claimed distributions.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from .datasets import (
     CorruptionKind,
@@ -27,6 +26,17 @@ from .prioritizers import (
     expected_selection_fraction,
     make_prioritizer,
 )
+
+# Chi-square critical values, chi2.ppf(1 - alpha, dof): a statistic below one
+# is exactly a p-value above alpha, since the survival function is decreasing.
+CHI2_CRITICAL_99_DOF3 = 11.344866730144373
+CHI2_CRITICAL_999_DOF9 = 27.877164871256568
+
+
+def chi_square(counts) -> float:
+    """Pearson's statistic of counts against equal expected counts."""
+    expected = np.mean(counts)
+    return float(((counts - expected) ** 2 / expected).sum())
 
 
 def check_selection_rates(num_scores: int = 60_000) -> tuple[str, bool, str]:
@@ -67,7 +77,7 @@ def check_pool_gate(trials: int = 20_000) -> tuple[str, bool, str]:
         if gate_on:
             return ("pool gate closes on constant losses", False, "gate opened")
         counts[ids[0]] += 1
-    p_uniform = stats.chisquare(counts).pvalue
+    chi_uniform = chi_square(counts)
 
     hits = 0
     for _ in range(trials):
@@ -79,11 +89,12 @@ def check_pool_gate(trials: int = 20_000) -> tuple[str, bool, str]:
             return ("pool draws follow losses when spread", False, "gate stayed closed")
         hits += ids[0] == 0
     gap = abs(hits / trials - 0.8)
-    ok = p_uniform > 0.01 and gap < 0.01
+    ok = chi_uniform < CHI2_CRITICAL_99_DOF3 and gap < 0.01
     return (
         "pool gate: uniform when flat, loss-proportional when spread",
         ok,
-        f"uniform p={p_uniform:.3f}, 4:1 freq gap {gap:.4f}",
+        f"uniform chi2 {chi_uniform:.2f} vs critical {CHI2_CRITICAL_99_DOF3:.2f}, "
+        f"4:1 freq gap {gap:.4f}",
     )
 
 
@@ -102,9 +113,10 @@ def check_corruptions() -> tuple[str, bool, str]:
         problems.append("inverse permutation did not recover input")
 
     labels = [corrupt_random_label(base, 10, rng).label for _ in range(50_000)]
-    p_labels = stats.chisquare(np.bincount(labels, minlength=10)).pvalue
-    if p_labels <= 0.001:
-        problems.append(f"label draws not uniform (p={p_labels:.4f})")
+    chi_labels = chi_square(np.bincount(labels, minlength=10))
+    if chi_labels >= CHI2_CRITICAL_999_DOF9:
+        problems.append(f"label draws not uniform "
+                        f"(chi2 {chi_labels:.2f} vs critical {CHI2_CRITICAL_999_DOF9:.2f})")
 
     seed = 31
     clean = generate_synthetic(400, 4, 16, seed=3)

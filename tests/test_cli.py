@@ -1,10 +1,18 @@
 """End-to-end command runs against temp directories."""
 
+import hashlib
 import json
+import multiprocessing.process
+import subprocess
+import sys
+from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lossprio
+from lossprio import selftest
 from lossprio.cli import _format_speedup, _parse_seeds, main
 from lossprio.errors import ConfigurationError
 
@@ -255,3 +263,141 @@ class TestHelpers:
         assert _parse_seeds("1, 2") == (1, 2)
         with pytest.raises(ConfigurationError):
             _parse_seeds("1,x")
+
+
+def tree_digest(out, stdout):
+    """sha256 over stdout (with the output path masked) and every file under out."""
+    digest = hashlib.sha256(stdout.replace(str(out), "<out>").encode())
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        rel = path.relative_to(out).as_posix()
+        digest.update(f"{rel} {hashlib.sha256(path.read_bytes()).hexdigest()}\n".encode())
+    return digest.hexdigest()
+
+
+@pytest.fixture
+def process_starts(monkeypatch):
+    """Every multiprocessing child started while the test runs."""
+    started = []
+    start = multiprocessing.process.BaseProcess.start
+
+    def recording(self):
+        started.append(self)
+        return start(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording)
+    return started
+
+
+@pytest.fixture(params=["either", "worker"])
+def where(request, monkeypatch):
+    """Where runs may go: "worker" keeps the calling process from taking any."""
+    if request.param == "worker":
+        monkeypatch.setattr(Future, "cancel", lambda self: False)
+    return request.param
+
+
+# tree_digest of each command's output, recorded before the runs moved into
+# worker processes; the outputs must not change at any --threads value
+OUTPUT_DIGESTS = {
+    "train": "98ae5f2b7e04120a55cc2d9db2bd73caae29219c515b438939fe84c72bb8dc5d",
+    "benchmark": "14dd0acd85d914c8020a5045cc53da5183daa32818c1722d8ab9d6fba0072938",
+}
+
+
+class TestRunsAcrossProcesses:
+    """--threads N runs the command's runs in this process plus N - 1 spawned workers."""
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_every_output_byte_identical_at_one_two_and_three(self, tmp_path, capsys,
+                                                              command):
+        payload = (dict(SMALL_EXPERIMENT, seeds=[1, 2, 3]) if command == "train"
+                   else dict(SMALL_BENCHMARK, seeds=[1, 2]))
+        cfg = write_config(tmp_path, payload)
+        digests = []
+        for threads in ("1", "2", "3"):
+            out = tmp_path / f"t{threads}"
+            argv = [command, "--config", str(cfg), "--out", str(out), "--threads", threads]
+            assert main(argv) == 0
+            digests.append(tree_digest(out, capsys.readouterr().out))
+        names = {p.name for p in out.rglob("*") if p.is_file()}
+        assert {"metrics.csv", "picks.csv", "model.npz", "run.json", "resolved_config.json",
+                "dataset_snapshot.csv"} <= names
+        if command == "benchmark":
+            assert {"speedup.json", "summary.csv"} <= names
+        assert digests == [OUTPUT_DIGESTS[command]] * 3
+
+    @pytest.mark.parametrize("command", ["train", "benchmark"])
+    def test_one_thread_starts_no_child_process(self, tmp_path, process_starts, command):
+        payload = SMALL_EXPERIMENT if command == "train" else SMALL_BENCHMARK
+        cfg = write_config(tmp_path, payload)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "1"]
+        assert main(argv) == 0
+        assert process_starts == []
+
+    def test_workers_are_capped_by_the_number_of_runs(self, tmp_path, process_starts):
+        cfg = write_config(tmp_path, SMALL_EXPERIMENT)  # two seeds: two runs
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "8"]
+        assert main(argv) == 0
+        assert len(process_starts) == 1
+
+    def test_run_without_evaluations_exits_two_naming_the_seed(self, tmp_path, capsys,
+                                                               where):
+        cfg = write_config(tmp_path, {
+            "dataset": {"num_train": 300, "num_test": 60},
+            "trainer": {"batch_size": 64, "total_epochs": 1},
+            "seeds": [3, 4],
+        })
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--threads", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed 3: a run has no evaluation points\n"
+        assert captured.out == ""
+        for seed in (3, 4):
+            run = json.loads((out / f"seed_{seed}" / "run.json").read_text())
+            assert run == {"seed": seed, "status": "no_eval"}
+
+    def test_benchmark_run_without_evaluations_exits_two_naming_cell_and_variant(
+            self, tmp_path, capsys, where):
+        cfg = write_config(tmp_path, {
+            "dataset": {"num_train": 600, "num_test": 200},
+            "trainer": {"total_epochs": 2},
+            "eval_every": 512,
+            "seeds": [0, 1],
+            "corruption_grid": [["none", 0.0]],
+        })
+        argv = ["benchmark", "--config", str(cfg), "--out", str(tmp_path / "b"), "--threads", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == "error: none_0 sb_loss_b1: a run has no evaluation points\n"
+
+    def test_divergent_runs_exit_one_and_record_their_status(self, tmp_path, capsys, where):
+        payload = dict(SMALL_EXPERIMENT)
+        payload["trainer"] = dict(payload["trainer"],
+                                  learning_rate=1e160, weight_decay=1e160, momentum=0.0)
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(["train", "--config", str(cfg), "--out", str(out), "--threads", "2"])
+        assert code == 1
+        assert capsys.readouterr().out.count("[diverged]") == 2
+        for seed in (1, 2):
+            run = json.loads((out / f"seed_{seed}" / "run.json").read_text())
+            assert run == {"seed": seed, "status": "diverged"}
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    src = str(Path(lossprio.__file__).resolve().parent.parent)
+    code = ("import sys, lossprio.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={"PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n"
+
+
+def test_selftest_critical_values_and_statistic_match_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    assert selftest.CHI2_CRITICAL_99_DOF3 == stats.chi2.ppf(0.99, 3)
+    assert selftest.CHI2_CRITICAL_999_DOF9 == stats.chi2.ppf(0.999, 9)
+    for counts in (np.array([5000.0, 5020.0, 4990.0, 4990.0]), np.bincount([0, 1, 1, 9, 9, 9])):
+        assert selftest.chi_square(counts) == pytest.approx(
+            stats.chisquare(counts).statistic, rel=1e-12)

@@ -209,6 +209,17 @@ class TestBenchmarkParsing:
         with pytest.raises(ConfigurationError):
             benchmark_config_from_dict({"corruption_grid": []})
 
+    def test_variants_sharing_a_label_exit_two_before_writing(self, tmp_path, capsys):
+        # both would write <cell>/sb_loss_b1/, from two processes at --threads 2
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"variants": [{"kind": "sb_loss", "seed": 1},
+                                                 {"kind": "sb_loss", "seed": 2}]}))
+        out = tmp_path / "o"
+        assert main(["benchmark", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: variants: two variants are labelled sb_loss_b1\n")
+        assert not out.exists()
+
 
 class TestBuildDatasets:
     def small_cfg(self, **corruption):
