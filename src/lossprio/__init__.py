@@ -4,7 +4,6 @@ from .datasets import (
     CorruptionKind,
     CorruptionSpec,
     Dataset,
-    Example,
     apply_corruption,
     generate_synthetic,
     generate_synthetic_pair,
@@ -33,7 +32,6 @@ __all__ = [
     "CorruptionKind",
     "CorruptionSpec",
     "Dataset",
-    "Example",
     "IngestionError",
     "ModelParams",
     "PrioritizerConfig",

@@ -219,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("train", "run one experiment config across its seeds"),
         ("benchmark", "run a corruption x prioritizer grid and summarize"),
-        ("selftest", "run the fast built-in property checks"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a JSON config file")
@@ -228,16 +227,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--threads", type=int, default=1,
                        help="processes to run the runs in: this one plus N-1 "
                             "spawned workers (default 1)")
+    sub.add_parser("selftest", help="run the four property checks of the acceptance gate")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command == "selftest":
+        return cmd_selftest()
     try:
         if args.threads < 1:
             raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
-        if args.command == "selftest":
-            return cmd_selftest()
         if args.command == "train":
             if not args.config:
                 raise ConfigurationError("train requires --config")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -35,27 +35,6 @@ class CorruptionKind(Enum):
 
 
 CORRUPTION_KINDS = tuple(CorruptionKind)  # a row's kind code indexes this tuple
-
-
-@dataclass(frozen=True, eq=False)
-class Example:
-    """One labelled feature vector: the unit of the corrupt_* reference transforms."""
-
-    id: int
-    features: np.ndarray
-    label: int
-    corrupted: bool = False
-    corruption_kind: CorruptionKind = CorruptionKind.NONE
-
-    def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
-        feats.setflags(write=False)
-        object.__setattr__(self, "features", feats)
-        if self.corrupted != (self.corruption_kind is not CorruptionKind.NONE):
-            raise ConfigurationError(
-                f"example {self.id}: corrupted flag {self.corrupted} inconsistent "
-                f"with kind {self.corruption_kind.value}"
-            )
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,12 +118,6 @@ class CorruptionSpec:
             raise ConfigurationError(f"corruption fraction {self.fraction} outside [0, 1]")
         if kind is CorruptionKind.NONE and self.fraction > 0.0:
             raise ConfigurationError("corruption kind 'none' requires fraction 0")
-
-
-def dataset_from_arrays(features, labels, num_classes: int, split: str = "train") -> Dataset:
-    """Build a clean Dataset from copies of an (N, D) feature array and N labels."""
-    return Dataset(np.array(features, dtype=np.float64), np.array(labels, dtype=np.int64),
-                   num_classes, split)
 
 
 def generate_synthetic(
@@ -307,17 +280,6 @@ def load_idx_images(
     return Dataset(feats, labels, max(num_classes, 2), split)
 
 
-def corrupt_random_label(example: Example, num_classes: int, rng: np.random.Generator) -> Example:
-    """Replace the label with a uniform draw over all classes, original included."""
-    new_label = int(rng.integers(num_classes))
-    return replace(
-        example,
-        label=new_label,
-        corrupted=True,
-        corruption_kind=CorruptionKind.RANDOM_LABEL,
-    )
-
-
 def make_task_permutation(feature_dim: int, seed: int) -> np.ndarray:
     """The single feature permutation shared by every shuffled example in a task."""
     if feature_dim < 1:
@@ -325,45 +287,16 @@ def make_task_permutation(feature_dim: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).permutation(feature_dim)
 
 
-def corrupt_shuffle_pixels(example: Example, permutation: np.ndarray) -> Example:
-    """Reorder features by a fixed permutation: out[j] = features[perm[j]]."""
-    permutation = np.asarray(permutation)
-    if permutation.shape != example.features.shape:
-        raise ConfigurationError(
-            f"permutation length {permutation.shape} does not match "
-            f"feature length {example.features.shape}"
-        )
-    return replace(
-        example,
-        features=example.features[permutation],
-        corrupted=True,
-        corruption_kind=CorruptionKind.SHUFFLED_PIXELS,
-    )
-
-
-def corrupt_gaussian(example: Example, rng: np.random.Generator) -> Example:
-    """Replace features with i.i.d. normal noise matching their mean and variance.
-
-    The parameters are the sample mean and population variance of the source
-    example's own features; a constant input therefore maps to itself.
-    """
-    mu = float(np.mean(example.features))
-    sigma = math.sqrt(float(np.var(example.features)))
-    noise = rng.normal(mu, sigma, size=example.features.shape[0])
-    return replace(
-        example,
-        features=noise,
-        corrupted=True,
-        corruption_kind=CorruptionKind.GAUSSIAN,
-    )
-
-
 def apply_corruption(dataset: Dataset, spec: CorruptionSpec) -> Dataset:
     """Corrupt floor(fraction * N) train examples chosen uniformly by the seed.
 
     The chosen index set depends only on the seed and N, so different kinds at
-    the same seed hit the same examples.  Chosen rows take, in ascending row
-    order, the draws corrupt_* would make one example at a time.  The result
+    the same seed hit the same examples.  Then, from the same generator and in
+    ascending row order: ``random_label`` draws each label uniformly over all
+    classes, the original included; ``gaussian`` draws each row as i.i.d.
+    normal noise at the row's own sample mean and population standard
+    deviation (a constant row maps to itself).  ``shuffled_pixels`` reorders
+    every chosen row by the one make_task_permutation(D, seed).  The result
     holds corrupted copies of the arrays the kind changes; ``dataset`` itself
     is left as it was.
     """

@@ -77,14 +77,6 @@ class RunMetrics:
             return "diverged"
         return "ok" if self.eval_errors else "no_eval"
 
-    @property
-    def gate_on_fraction(self) -> float | None:
-        if self.gate_on_series is None:
-            return None
-        if not self.gate_on_series:
-            return 0.0
-        return sum(self.gate_on_series) / len(self.gate_on_series)
-
 
 def evaluate_error(params, features, labels, chunk_size: int = EVAL_CHUNK,
                    workspace: Workspace | None = None) -> float:
@@ -216,17 +208,6 @@ class SpeedupReport:
         )
 
 
-def speedup_report_from_json(line: str) -> SpeedupReport:
-    raw = json.loads(line)
-    return SpeedupReport(
-        threshold_error=raw["threshold_error"],
-        baseline_backprops=raw["baseline_backprops"],
-        method_backprops=raw["method_backprops"],
-        speedup=raw["speedup"],
-        best_error=raw["best_error"],
-    )
-
-
 def _first_crossing(eval_points, threshold: float) -> int | None:
     for backprops, err in eval_points:
         if err <= threshold:
@@ -341,47 +322,12 @@ def write_metrics_csv(metrics: RunMetrics, path) -> None:
             )
 
 
-def read_metrics_csv(path, seed: int = 0, diverged: bool = False) -> RunMetrics:
-    metrics = RunMetrics(seed=seed, diverged=diverged)
-    gate_series: list[int] = []
-    saw_gate = False
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != METRICS_HEADER:
-            raise ConfigurationError(f"unexpected metrics header {header}")
-        for row in reader:
-            it = int(row[0])
-            metrics.backprops_series.append(int(row[1]))
-            if row[2] != "":
-                metrics.eval_iterations.append(it)
-                metrics.eval_errors.append(float(row[2]))
-            metrics.corrupted_frac_series.append(float(row[3]))
-            if row[4] != "":
-                saw_gate = True
-                gate_series.append(int(row[4]))
-    metrics.gate_on_series = gate_series if saw_gate else None
-    return metrics
-
-
 def write_picks_csv(metrics: RunMetrics, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "picks"])
         for example_id in sorted(metrics.pick_counts):
             writer.writerow([example_id, metrics.pick_counts[example_id]])
-
-
-def read_picks_csv(path) -> dict[int, int]:
-    counts: dict[int, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["id", "picks"]:
-            raise ConfigurationError(f"unexpected picks header {header}")
-        for row in reader:
-            counts[int(row[0])] = int(row[1])
-    return counts
 
 
 def save_run(metrics: RunMetrics, run_dir) -> None:
@@ -392,13 +338,3 @@ def save_run(metrics: RunMetrics, run_dir) -> None:
     write_picks_csv(metrics, run_dir / "picks.csv")
     meta = {"seed": metrics.seed, "status": metrics.status}
     (run_dir / "run.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
-
-
-def load_run(run_dir) -> RunMetrics:
-    run_dir = Path(run_dir)
-    meta = json.loads((run_dir / "run.json").read_text())
-    metrics = read_metrics_csv(
-        run_dir / "metrics.csv", seed=meta["seed"], diverged=meta["status"] == "diverged"
-    )
-    metrics.pick_counts = read_picks_csv(run_dir / "picks.csv")
-    return metrics

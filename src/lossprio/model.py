@@ -223,16 +223,6 @@ def _backward(params: ModelParams, features, labels,
     return loss, grad
 
 
-def loss_and_gradients(params: ModelParams, features, labels):
-    """Mean cross-entropy over the batch and its gradients w.r.t. every layer.
-
-    Weight decay is not included here; it belongs to the update rule, not the
-    loss surface being checked.
-    """
-    loss, grad = _backward(params, features, labels)
-    return loss, (grad.weights, grad.biases)
-
-
 @dataclass
 class SGDState:
     """Momentum buffer (laid out like ModelParams.vector) plus counters for
@@ -268,14 +258,6 @@ def sgd_step(params: ModelParams, features, labels, cfg: TrainerConfig, state: S
     state.updates += 1
     state.backprops += int(np.asarray(features).shape[0])
     return loss
-
-
-def params_to_vector(params: ModelParams) -> np.ndarray:
-    return params.vector.copy()
-
-
-def vector_to_params(vector: np.ndarray, architecture) -> ModelParams:
-    return ModelParams.on_vector(np.array(vector, dtype=np.float64), architecture)
 
 
 def gradient_check(

@@ -21,8 +21,6 @@ Four kinds exist:
 
 from __future__ import annotations
 
-import json
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +31,6 @@ from .model import prediction_entropy
 PRIORITIZER_KINDS = ("uniform", "sb_loss", "sb_entropy", "vr")
 
 DEFAULT_HISTOGRAM_CAPACITY = 1024
-
-
-class EmptyHistogramError(RuntimeError):
-    """Raised when a probability is requested before any score was recorded.
-
-    Callers still warming up must select unconditionally instead."""
 
 
 @dataclass
@@ -94,32 +86,13 @@ class ScoreHistogram:
     def __len__(self) -> int:
         return self._size
 
-    def insert(self, score: float) -> None:
-        self._buf[self._next] = score
-        self._next = (self._next + 1) % self.capacity
-        if self._size < self.capacity:
-            self._size += 1
-
-    def cdf(self, score: float) -> float:
-        """One score against the current window: the per-example reference
-        that ``insert_many`` reproduces."""
-        if self._size == 0:
-            raise EmptyHistogramError("no scores recorded yet")
-        window = self._buf if self._size == self.capacity else self._buf[: self._size]
-        return np.count_nonzero(window <= score) / self._size
-
-    def values(self) -> list[float]:
-        """Window contents, oldest first."""
-        if self._size < self.capacity:
-            return self._buf[: self._size].tolist()
-        return np.roll(self._buf, -self._next).tolist()
-
     def insert_many(self, scores: np.ndarray) -> np.ndarray:
         """Insert scores in order and return the cdf of each one against the
         window as it stood right after its own insertion.
 
-        Equal, value for value, to ``insert(s); cdf(s)`` one score at a time;
-        the work is per chunk of at most ``capacity`` scores instead.
+        Equal, value for value, to inserting and ranking one score at a time
+        (the per-example reference in tests/reference.py); the work is per
+        chunk of at most ``capacity`` scores instead.
         """
         out = np.empty(len(scores))
         for lo in range(0, len(scores), self.capacity):
@@ -153,48 +126,11 @@ class ScoreHistogram:
         return np.count_nonzero((values <= probes[:, None]) & self._tri[:m, :m], axis=1)
 
 
-def selection_probability(score: float, histogram: ScoreHistogram, beta: float) -> float:
-    """cdf(score) raised to beta; beta 0 admits everything."""
-    if beta < 0:
-        raise ConfigurationError("beta must be nonnegative")
-    return histogram.cdf(score) ** beta
-
-
 def expected_selection_fraction(beta: float) -> float:
     """Long-run admitted fraction for rank-power selection: 1 / (beta + 1)."""
     if beta < 0:
         raise ConfigurationError("beta must be nonnegative")
     return 1.0 / (beta + 1.0)
-
-
-class CandidateBuffer:
-    """FIFO queue of admitted ids that releases exact-size batches.
-
-    The per-example reference for the queue inside
-    ``SelectiveBackpropPrioritizer``, which releases the same batches.
-    """
-
-    def __init__(self, batch_size: int):
-        if batch_size < 1:
-            raise ConfigurationError("batch_size must be positive")
-        self.batch_size = batch_size
-        self._queue: deque[int] = deque()
-
-    def __len__(self) -> int:
-        return len(self._queue)
-
-    def push(self, example_id: int) -> None:
-        self._queue.append(example_id)
-
-    def drain(self) -> list[list[int]]:
-        """Pop as many full batches as the queue currently holds."""
-        batches = []
-        while len(self._queue) >= self.batch_size:
-            batches.append([self._queue.popleft() for _ in range(self.batch_size)])
-        return batches
-
-    def snapshot(self) -> list[int]:
-        return list(self._queue)
 
 
 class SamplingPool:
@@ -224,14 +160,6 @@ class SamplingPool:
     @property
     def is_full(self) -> bool:
         return self._size >= self.capacity
-
-    @property
-    def entries(self) -> list[tuple[int, float]]:
-        n = self._size
-        return list(zip(self._ids[:n].tolist(), self._losses[:n].tolist()))
-
-    def push(self, example_id: int, loss: float) -> None:
-        self.extend([example_id], [loss])
 
     def extend(self, ids, losses) -> None:
         """Append candidates in order; losses must be finite and nonnegative."""
@@ -286,9 +214,6 @@ class SamplingPool:
     def clear(self) -> None:
         self._size = 0
 
-    def snapshot(self) -> list[list]:
-        return [list(entry) for entry in self.entries]
-
 
 class Prioritizer:
     """Common interface: feed candidates, collect full training batches."""
@@ -300,7 +225,6 @@ class Prioritizer:
         if batch_size < 1:
             raise ConfigurationError("batch_size must be positive")
         self.batch_size = batch_size
-        self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.ingested = 0
         self.selected = 0
@@ -311,17 +235,6 @@ class Prioritizer:
     def consume_gate_flags(self) -> list[bool]:
         """Gate decisions for batches emitted since the last call (vr only)."""
         return []
-
-    def state_snapshot(self) -> str:
-        return json.dumps(self._state(), sort_keys=True)
-
-    def _state(self) -> dict:
-        return {
-            "kind": self.kind,
-            "batch_size": self.batch_size,
-            "ingested": self.ingested,
-            "selected": self.selected,
-        }
 
     @staticmethod
     def _check_scores(scores) -> np.ndarray:
@@ -354,7 +267,7 @@ class SelectiveBackpropPrioritizer(Prioritizer):
     computed, and until the window holds one full batch of scores every
     example is admitted unconditionally (warm-up).  A feed is decided as one
     batch: the same admissions, from the same random stream, as deciding
-    one example at a time with ``selection_probability``.
+    one example at a time (the reference in tests/reference.py).
     """
 
     def __init__(
@@ -396,8 +309,8 @@ class SelectiveBackpropPrioritizer(Prioritizer):
         # warm-up: the leading scores that leave the window below one batch
         warm = max(self.batch_size - 1 - len(self.histogram), 0)
         cdf = self.histogram.insert_many(scores)
-        # Python's float power, as selection_probability uses: numpy's can
-        # differ from it in the last bit
+        # Python's float power, as the per-example reference uses: numpy's
+        # can differ from it in the last bit
         p = np.array([c**self.beta for c in cdf.tolist()])
         admitted = np.ones(len(scores), dtype=bool)
         ranked = np.flatnonzero(p[warm:] < 1.0) + warm
@@ -411,16 +324,6 @@ class SelectiveBackpropPrioritizer(Prioritizer):
                    for lo in range(0, full, self.batch_size)]
         del self._queue[:full]
         return batches
-
-    def _state(self) -> dict:
-        state = super()._state()
-        state.update(
-            beta=self.beta,
-            score=self.score_source,
-            window=self.histogram.values(),
-            buffer=list(self._queue),
-        )
-        return state
 
 
 class PoolImportancePrioritizer(Prioritizer):
@@ -475,15 +378,6 @@ class PoolImportancePrioritizer(Prioritizer):
         flags = self._pending_gates
         self._pending_gates = []
         return flags
-
-    def _state(self) -> dict:
-        state = super()._state()
-        state.update(
-            pool=self.pool.snapshot(),
-            pool_capacity=self.pool.capacity,
-            gate_threshold=self.pool.gate_threshold,
-        )
-        return state
 
 
 def make_prioritizer(cfg: PrioritizerConfig, batch_size: int) -> Prioritizer:

@@ -1,8 +1,10 @@
-"""Fast built-in property checks, one result tuple per property.
+"""The four property checks of the acceptance gate, one result tuple each.
 
-Each check is the same kind of independent oracle the test suite uses:
-Monte Carlo rates against closed forms, finite differences against the
-analytic gradient, and chi-square tests against claimed distributions.
+``lossprio selftest`` and tests/test_acceptance.py call these same functions.
+Each is an independent oracle on the shipped code: Monte Carlo rates against
+closed forms, finite differences against the analytic gradient, chi-square
+statistics against claimed distributions, and exact reconstructions of the
+corruption draws.
 """
 
 from __future__ import annotations
@@ -10,12 +12,9 @@ from __future__ import annotations
 import numpy as np
 
 from .datasets import (
-    CorruptionKind,
     CorruptionSpec,
-    Example,
+    Dataset,
     apply_corruption,
-    corrupt_random_label,
-    corrupt_shuffle_pixels,
     generate_synthetic,
     make_task_permutation,
 )
@@ -31,6 +30,7 @@ from .prioritizers import (
 # is exactly a p-value above alpha, since the survival function is decreasing.
 CHI2_CRITICAL_99_DOF3 = 11.344866730144373
 CHI2_CRITICAL_999_DOF9 = 27.877164871256568
+DRAWS = 100_000  # scores, pool draws per half, and label draws
 
 
 def chi_square(counts) -> float:
@@ -39,100 +39,110 @@ def chi_square(counts) -> float:
     return float(((counts - expected) ** 2 / expected).sum())
 
 
-def check_selection_rates(num_scores: int = 60_000) -> tuple[str, bool, str]:
+def check_selection_rates() -> tuple[str, bool, str]:
     """Empirical admission rate of the loss-ranked selector vs 1/(beta+1)."""
-    rng = np.random.default_rng(11)
-    worst = 0.0
+    scores = np.random.default_rng(0).random(DRAWS)
+    gaps = {}
     for beta in (0.0, 1.0, 2.0):
         prio = make_prioritizer(
-            PrioritizerConfig(kind="sb_loss", beta=beta, seed=3), batch_size=128
+            PrioritizerConfig(kind="sb_loss", beta=beta, seed=12), batch_size=128
         )
-        scores = rng.random(num_scores)
-        for start in range(0, num_scores, 512):
-            chunk = scores[start : start + 512]
-            prio.feed(list(range(start, start + len(chunk))), chunk)
-        gap = abs(prio.selected / prio.ingested - expected_selection_fraction(beta))
-        worst = max(worst, gap)
-    return ("selection rate matches 1/(beta+1)", worst < 0.01, f"max gap {worst:.4f}")
+        for lo in range(0, DRAWS, 512):
+            chunk = scores[lo : lo + 512]
+            prio.feed(list(range(lo, lo + len(chunk))), chunk)
+        gaps[beta] = abs(prio.selected / prio.ingested - expected_selection_fraction(beta))
+    return (
+        "selection rate matches 1/(beta+1)",
+        all(gap <= 0.01 for gap in gaps.values()),
+        ", ".join(f"b={beta:g} gap={gap:.4f}" for beta, gap in gaps.items()),
+    )
 
 
 def check_gradients() -> tuple[str, bool, str]:
-    rng = np.random.default_rng(5)
+    """Central differences against the analytic gradient on every coordinate."""
+    rng = np.random.default_rng(1)
     params = init_params([8, 16, 4], rng)
-    feats = rng.standard_normal((8, 8))
-    labels = rng.integers(4, size=8)
-    err = gradient_check(params, feats, labels, epsilon=1e-4, max_coords=128, seed=2)
-    return ("analytic gradient matches finite differences", err < 1e-4, f"max rel err {err:.2e}")
+    feats = rng.normal(size=(8, 8))
+    labels = rng.integers(0, 4, size=8)
+    coords = params.vector.size
+    err = gradient_check(params, feats, labels, max_coords=coords, seed=2)
+    return (
+        "analytic gradient matches finite differences",
+        bool(err < 1e-4),
+        f"max rel err {err:.2e} over {coords} coordinates",
+    )
 
 
-def check_pool_gate(trials: int = 20_000) -> tuple[str, bool, str]:
-    """Constant losses must draw uniformly; spread losses must follow them."""
-    rng = np.random.default_rng(17)
-    counts = np.zeros(4)
-    for _ in range(trials):
-        pool = SamplingPool(capacity=4, gate_threshold=0.0)
-        for i in range(4):
-            pool.push(i, 1.0)
-        ids, gate_on = pool.draw(1, rng)
-        if gate_on:
-            return ("pool gate closes on constant losses", False, "gate opened")
-        counts[ids[0]] += 1
-    chi_uniform = chi_square(counts)
-
-    hits = 0
-    for _ in range(trials):
-        pool = SamplingPool(capacity=2, gate_threshold=0.0)
-        pool.push(0, 4.0)
-        pool.push(1, 1.0)
-        ids, gate_on = pool.draw(1, rng)
-        if not gate_on:
-            return ("pool draws follow losses when spread", False, "gate stayed closed")
-        hits += ids[0] == 0
-    gap = abs(hits / trials - 0.8)
-    ok = chi_uniform < CHI2_CRITICAL_99_DOF3 and gap < 0.01
+def check_pool_gate() -> tuple[str, bool, str]:
+    """Flat losses keep the gate closed and draw uniformly; planted 4:1 losses
+    open it and draw in proportion.  Each drawn id goes straight back in."""
+    halves = []
+    for losses, seed in (([1.0, 1.0, 1.0, 1.0], 17), ([4.0, 1.0], 19)):
+        pool = SamplingPool(capacity=len(losses), gate_threshold=0.0)
+        pool.extend(range(len(losses)), losses)
+        rng = np.random.default_rng(seed)
+        counts, opened = np.zeros(len(losses)), 0
+        for _ in range(DRAWS):
+            (i,), gate_on = pool.draw(1, rng)
+            opened += gate_on
+            counts[i] += 1
+            pool.extend([i], [losses[i]])
+        halves.append((counts, opened))
+    (flat, flat_opened), (planted, planted_opened) = halves
+    chi_uniform = chi_square(flat)
+    gap = abs(planted[0] / DRAWS - 0.8)
+    ok = bool(flat_opened == 0 and chi_uniform < CHI2_CRITICAL_99_DOF3
+              and planted_opened == DRAWS and gap <= 0.01)
     return (
         "pool gate: uniform when flat, loss-proportional when spread",
         ok,
+        f"gate open on {flat_opened} flat and {planted_opened} of {DRAWS} 4:1 draws, "
         f"uniform chi2 {chi_uniform:.2f} vs critical {CHI2_CRITICAL_99_DOF3:.2f}, "
         f"4:1 freq gap {gap:.4f}",
     )
 
 
 def check_corruptions() -> tuple[str, bool, str]:
-    rng = np.random.default_rng(23)
+    """apply_corruption's invariants, each kind on the same clean split."""
     problems = []
-
-    perm = make_task_permutation(64, seed=9)
-    source = generate_synthetic(40, 4, 64, seed=2)
-    base = Example(id=0, features=source.features[0], label=int(source.labels[0]))
-    shuffled = corrupt_shuffle_pixels(base, perm)
-    if sorted(shuffled.features.tolist()) != sorted(base.features.tolist()):
-        problems.append("shuffle changed the multiset")
-    inverse = np.argsort(perm)
-    if not np.array_equal(shuffled.features[inverse], base.features):
-        problems.append("inverse permutation did not recover input")
-
-    labels = [corrupt_random_label(base, 10, rng).label for _ in range(50_000)]
-    chi_labels = chi_square(np.bincount(labels, minlength=10))
-    if chi_labels >= CHI2_CRITICAL_999_DOF9:
-        problems.append(f"label draws not uniform "
-                        f"(chi2 {chi_labels:.2f} vs critical {CHI2_CRITICAL_999_DOF9:.2f})")
-
     seed = 31
     clean = generate_synthetic(400, 4, 16, seed=3)
-    masks = []
-    for kind in (CorruptionKind.RANDOM_LABEL, CorruptionKind.GAUSSIAN):
-        spec = CorruptionSpec(kind=kind, fraction=0.25, seed=seed)
-        masks.append(tuple(apply_corruption(clean, spec).corrupted_mask.tolist()))
-    if masks[0] != masks[1]:
+    out = {kind: apply_corruption(clean, CorruptionSpec(kind=kind, fraction=0.25, seed=seed))
+           for kind in ("random_label", "shuffled_pixels", "gaussian")}
+    rows = out["random_label"].corrupted_mask
+    if any(not np.array_equal(ds.corrupted_mask, rows) for ds in out.values()):
         problems.append("corrupted index set differs across kinds at equal seed")
-    if sum(masks[0]) != 100:
-        problems.append(f"corrupted count {sum(masks[0])} != 100")
+    if rows.sum() != 100:
+        problems.append(f"corrupted count {rows.sum()} != 100")
 
+    source, shuffled = clean.features[rows], out["shuffled_pixels"].features[rows]
+    if not np.array_equal(np.sort(shuffled, axis=1), np.sort(source, axis=1)):
+        problems.append("shuffle changed a row's multiset")
+    if not np.array_equal(shuffled[:, np.argsort(make_task_permutation(16, seed))], source):
+        problems.append("inverse permutation did not recover the rows")
+
+    # after choosing the rows, the seed's generator draws each chosen row in
+    # ascending order at its source's sample mean and population std
+    rng = np.random.default_rng(seed)
+    chosen = np.sort(rng.choice(len(clean), size=100, replace=False))
+    expected = [rng.normal(row.mean(), row.std(), size=row.size)
+                for row in clean.features[chosen]]
+    if not np.array_equal(out["gaussian"].features[chosen], expected):
+        problems.append("gaussian rows are not draws at their source's mean and std")
+
+    relabelled = apply_corruption(
+        Dataset(np.zeros((DRAWS, 1)), np.zeros(DRAWS, dtype=np.int64), num_classes=10),
+        CorruptionSpec(kind="random_label", fraction=1.0, seed=5),
+    )
+    chi_labels = chi_square(np.bincount(relabelled.labels, minlength=10))
+    if chi_labels >= CHI2_CRITICAL_999_DOF9:
+        problems.append("label draws not uniform")
     return (
         "corruption transforms preserve their invariants",
         not problems,
-        "; ".join(problems) if problems else "multiset, uniformity, index set all good",
+        "; ".join(problems or ["index set, count, multiset, inverse and gaussian "
+                               "parameters exact"])
+        + f"; label chi2 {chi_labels:.2f} vs critical {CHI2_CRITICAL_999_DOF9:.2f}",
     )
 
 

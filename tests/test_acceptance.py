@@ -2,8 +2,9 @@
 
 Every check times itself against a wall-clock budget and prints its measured
 values even when passing, so a gate run leaves a readable transcript.  The
-multi-seed training checks run the full default task; everything else is
-property-level and fast.
+multi-seed training checks run the full default task.  The four property
+checks are the functions of ``lossprio.selftest``, which the ``selftest``
+command runs too.
 """
 
 import json
@@ -13,25 +14,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from lossprio import selftest
 from lossprio.cli import main
-from lossprio.datasets import (
-    CorruptionSpec,
-    Example,
-    apply_corruption,
-    corrupt_gaussian,
-    corrupt_random_label,
-    corrupt_shuffle_pixels,
-    generate_synthetic_pair,
-    make_task_permutation,
-)
+from lossprio.datasets import CorruptionSpec, apply_corruption, generate_synthetic_pair
 from lossprio.harness import aggregate_seeds, compute_speedup, run_training
-from lossprio.model import TrainerConfig, gradient_check, init_params, load_checkpoint
-from lossprio.prioritizers import (
-    PrioritizerConfig,
-    SamplingPool,
-    SelectiveBackpropPrioritizer,
-    expected_selection_fraction,
-)
+from lossprio.model import TrainerConfig, load_checkpoint
+from lossprio.prioritizers import PrioritizerConfig
 
 SEEDS = (1, 2, 3, 4, 5)
 EVAL_EVERY = 512
@@ -42,6 +30,17 @@ def emit(capsys, name, passed, detail):
     """Print the verdict straight to the terminal, bypassing capture."""
     with capsys.disabled():
         print(f"{'PASS' if passed else 'FAIL'}: {name} ({detail})", flush=True)
+
+
+def gate_check(capsys, name, check, budget):
+    """Run one of the checks selftest shares with this gate, within a budget."""
+    t0 = time.perf_counter()
+    _, passed, detail = check()
+    elapsed = time.perf_counter() - t0
+    detail = f"{detail}, {elapsed:.1f}s"
+    ok = passed and elapsed < budget
+    emit(capsys, name, ok, detail)
+    assert ok, detail
 
 
 def run_one(train, test, kind, seed, beta=1.0, batch_log=None, checkpoint_path=None):
@@ -77,39 +76,11 @@ def noisy50_pair(clean_pair):
 
 
 def test_selection_rates_follow_beta(capsys):
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(0)
-    scores = rng.random(100_000)
-    gaps = {}
-    for beta in (0.0, 1.0, 2.0):
-        sb = SelectiveBackpropPrioritizer(batch_size=128, seed=12, beta=beta)
-        for lo in range(0, len(scores), 512):
-            chunk = scores[lo : lo + 512]
-            sb.feed(list(range(lo, lo + len(chunk))), chunk)
-        rate = sb.selected / sb.ingested
-        gaps[beta] = abs(rate - expected_selection_fraction(beta))
-    elapsed = time.perf_counter() - t0
-    detail = (
-        ", ".join(f"b={b:g} gap={g:.4f}" for b, g in gaps.items())
-        + f", {elapsed:.1f}s"
-    )
-    ok = all(g <= 0.01 for g in gaps.values()) and elapsed < 10
-    emit(capsys, "selection-rates", ok, detail)
-    assert ok, detail
+    gate_check(capsys, "selection-rates", selftest.check_selection_rates, 10)
 
 
 def test_gradients_match_finite_differences(capsys):
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(1)
-    params = init_params([8, 16, 4], rng)
-    feats = rng.normal(size=(8, 8))
-    labels = rng.integers(0, 4, size=8)
-    worst = gradient_check(params, feats, labels, max_coords=212, seed=2)
-    elapsed = time.perf_counter() - t0
-    detail = f"max rel err {worst:.2e}, {elapsed:.1f}s"
-    ok = worst < 1e-4 and elapsed < 5
-    emit(capsys, "gradient-check", ok, detail)
-    assert ok, detail
+    gate_check(capsys, "gradient-check", selftest.check_gradients, 5)
 
 
 def test_beta_zero_run_is_plain_sgd(capsys, clean_pair, tmp_path):
@@ -206,46 +177,7 @@ def test_high_beta_degrades_under_label_noise(capsys, noisy50_pair):
 
 
 def test_pool_gate_and_draw_frequencies(capsys):
-    t0 = time.perf_counter()
-    # flat losses: the gate must stay off and 100k draws must look uniform
-    pool = SamplingPool(capacity=4, gate_threshold=0.0)
-    for i in range(4):
-        pool.push(i, 1.0)
-    rng = np.random.default_rng(17)
-    counts = np.zeros(4)
-    gates_on = 0
-    for _ in range(100_000):
-        ids, gate_on = pool.draw(1, rng)
-        gates_on += gate_on
-        counts[ids[0]] += 1
-        pool.push(ids[0], 1.0)
-    uniform_p = stats.chisquare(counts).pvalue
-
-    # planted 4:1 losses at threshold 0: always on, frequencies follow q
-    loss_of = {0: 4.0, 1: 1.0}
-    pool = SamplingPool(capacity=2, gate_threshold=0.0)
-    for i, loss in loss_of.items():
-        pool.push(i, loss)
-    rng = np.random.default_rng(19)
-    hits = 0
-    planted_on = 0
-    for _ in range(100_000):
-        ids, gate_on = pool.draw(1, rng)
-        planted_on += gate_on
-        hits += ids[0] == 0
-        pool.push(ids[0], loss_of[ids[0]])
-    gap = abs(hits / 100_000 - 0.8)
-    elapsed = time.perf_counter() - t0
-    detail = f"uniform p={uniform_p:.3f}, planted gap {gap:.4f}, {elapsed:.1f}s"
-    ok = (
-        gates_on == 0
-        and uniform_p > 0.01
-        and planted_on == 100_000
-        and gap <= 0.01
-        and elapsed < 10
-    )
-    emit(capsys, "pool-gate", ok, detail)
-    assert ok, detail
+    gate_check(capsys, "pool-gate", selftest.check_pool_gate, 10)
 
 
 def test_entropy_scoring_beats_loss_under_label_noise(capsys, noisy50_pair):
@@ -271,42 +203,7 @@ def test_entropy_scoring_beats_loss_under_label_noise(capsys, noisy50_pair):
 
 
 def test_corruption_transform_invariants(capsys):
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(2)
-
-    # pixel shuffles move values without changing the multiset
-    source = Example(id=0, features=rng.normal(size=64), label=1)
-    perm = make_task_permutation(64, seed=3)
-    shuffled = corrupt_shuffle_pixels(source, perm)
-    multiset_ok = np.array_equal(
-        np.sort(shuffled.features), np.sort(source.features)
-    ) and np.array_equal(shuffled.features[np.argsort(perm)], source.features)
-
-    # relabeling draws uniformly over all classes
-    ex = Example(id=1, features=np.array([0.1, 0.2]), label=3)
-    label_rng = np.random.default_rng(5)
-    labels = [corrupt_random_label(ex, 10, label_rng).label for _ in range(100_000)]
-    label_p = stats.chisquare(np.bincount(labels, minlength=10)).pvalue
-
-    # the gaussian replacement is built from exactly the source's sample
-    # mean and population standard deviation
-    feats = rng.normal(size=40) * 3 + 7
-    noisy = corrupt_gaussian(
-        Example(id=2, features=feats, label=0), np.random.default_rng(77)
-    )
-    expected = np.random.default_rng(77).normal(
-        feats.mean(), feats.std(ddof=0), size=40
-    )
-    gaussian_ok = np.array_equal(noisy.features, expected)
-
-    elapsed = time.perf_counter() - t0
-    detail = (
-        f"multiset {multiset_ok}, label p={label_p:.3f}, "
-        f"gaussian params exact {gaussian_ok}, {elapsed:.1f}s"
-    )
-    ok = multiset_ok and label_p > 0.001 and gaussian_ok and elapsed < 10
-    emit(capsys, "corruption-invariants", ok, detail)
-    assert ok, detail
+    gate_check(capsys, "corruption-invariants", selftest.check_corruptions, 10)
 
 
 def test_cli_runs_are_deterministic(capsys, tmp_path):

@@ -250,6 +250,14 @@ class TestSelftestCommand:
         assert out.count("PASS:") >= 4
         assert "FAIL:" not in out
 
+    @pytest.mark.parametrize("option", [["--threads", "7"], ["--config", "nonexistent.json"],
+                                        ["--seed", "9"], ["--out", "somewhere"]])
+    def test_takes_no_options(self, capsys, option):
+        with pytest.raises(SystemExit) as exc:
+            main(["selftest", *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestHelpers:
     def test_format_speedup(self):

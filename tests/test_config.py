@@ -4,6 +4,8 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lossprio.cli import main
 from lossprio.config import (
@@ -19,6 +21,8 @@ from lossprio.config import (
 )
 from lossprio.datasets import CorruptionKind, CorruptionSpec
 from lossprio.errors import ConfigurationError
+from lossprio.model import TrainerConfig
+from lossprio.prioritizers import PRIORITIZER_KINDS, PrioritizerConfig
 
 
 class TestExperimentParsing:
@@ -154,6 +158,64 @@ class TestConfigFiles:
             load_experiment_config(path)
 
 
+seeds = st.integers(0, 2**32)
+seed_lists = st.lists(seeds, min_size=1, max_size=4, unique=True)
+paths = st.none() | st.text(max_size=20)
+datasets = st.builds(
+    DatasetConfig, type=st.sampled_from(["synthetic", "idx"]),
+    num_train=st.integers(1, 10**6), num_test=st.integers(1, 10**6),
+    num_classes=st.integers(2, 1000), feature_dim=st.integers(2, 10**4), seed=seeds,
+    cluster_spread=st.floats(0.01, 100.0), train_images=st.text(max_size=20),
+    train_labels=paths, test_images=st.text(max_size=20), test_labels=paths,
+    limit=st.none() | st.integers(1, 10**6),
+)
+corruptions = st.builds(CorruptionSpec, seed=seeds) | st.builds(
+    CorruptionSpec, kind=st.sampled_from(list(CorruptionKind)[1:]),
+    fraction=st.floats(0.0, 1.0), seed=seeds,
+)
+trainers = st.builds(
+    TrainerConfig, learning_rate=st.floats(1e-6, 10.0), momentum=st.floats(0.0, 0.99),
+    weight_decay=st.floats(0.0, 1.0), lr_drop_factor=st.floats(0.01, 1.0),
+    lr_drop_points=st.lists(st.floats(0.01, 0.99), unique=True, max_size=3).map(sorted),
+    batch_size=st.integers(1, 256), total_epochs=st.integers(1, 100), seed=seeds,
+    hidden_layers=st.lists(st.integers(1, 512), max_size=3),
+)
+
+
+def prioritizers(batch_size):
+    """Selectors whose window and pool hold at least one batch."""
+    return st.builds(
+        PrioritizerConfig, kind=st.sampled_from(PRIORITIZER_KINDS),
+        beta=st.floats(0.0, 10.0), histogram_capacity=st.integers(batch_size, 4096),
+        pool_capacity=st.none() | st.integers(batch_size, 4096),
+        gate_threshold=st.floats(0.0, 10.0), seed=seeds,
+    )
+
+
+@st.composite
+def experiment_configs(draw):
+    trainer = draw(trainers)
+    return ExperimentConfig(
+        dataset=draw(datasets), corruption=draw(corruptions), trainer=trainer,
+        prioritizer=draw(prioritizers(trainer.batch_size)), seeds=draw(seed_lists),
+        eval_every=draw(st.integers(1, 10**6)), output_dir=draw(paths),
+    )
+
+
+@st.composite
+def benchmark_configs(draw):
+    trainer = draw(trainers)
+    cells = st.just(("none", 0.0)) | st.tuples(
+        st.sampled_from(["random_label", "shuffled_pixels", "gaussian"]), st.floats(0.0, 1.0))
+    variants = st.lists(prioritizers(trainer.batch_size), max_size=4,
+                        unique_by=PrioritizerConfig.label)
+    return BenchmarkConfig(
+        dataset=draw(datasets), corruption_grid=draw(st.lists(cells, min_size=1, max_size=4)),
+        corruption_seed=draw(seeds), variants=tuple(draw(variants)), trainer=trainer,
+        seeds=draw(seed_lists), eval_every=draw(st.integers(1, 10**6)), output_dir=draw(paths),
+    )
+
+
 class TestResolvedConfig:
     def test_round_trips_and_scrubs_enums(self):
         cfg = experiment_config_from_dict(
@@ -164,6 +226,16 @@ class TestResolvedConfig:
         raw = json.loads(text)
         assert raw["corruption"]["kind"] == "gaussian"
         assert experiment_config_from_dict(raw) == cfg
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=experiment_configs())
+    def test_experiment_round_trip_over_generated_configs(self, cfg):
+        assert experiment_config_from_dict(json.loads(resolved_config_json(cfg))) == cfg
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=benchmark_configs())
+    def test_benchmark_round_trip_over_generated_configs(self, cfg):
+        assert benchmark_config_from_dict(json.loads(resolved_config_json(cfg))) == cfg
 
     def test_dict_form_contains_all_defaults(self):
         raw = config_to_dict(ExperimentConfig())

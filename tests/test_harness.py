@@ -1,5 +1,6 @@
 """Training loop accounting, speedup math, aggregation, and run files."""
 
+import csv
 import hashlib
 import json
 import statistics
@@ -22,12 +23,9 @@ from lossprio.harness import (
     aggregate_seeds,
     compute_speedup,
     evaluate_error,
-    load_run,
     rank_pick_frequencies,
-    read_metrics_csv,
     run_training,
     save_run,
-    speedup_report_from_json,
     write_metrics_csv,
 )
 from lossprio.model import TrainerConfig, init_params, load_checkpoint
@@ -114,7 +112,6 @@ class TestRunTraining:
         assert metrics.gate_on_series is not None
         assert len(metrics.gate_on_series) == metrics.num_iterations
         assert set(metrics.gate_on_series) <= {0, 1}
-        assert 0.0 <= metrics.gate_on_fraction <= 1.0
         # pool capacity 3x batch: a third of the candidate stream trains
         assert metrics.num_iterations == (12 * 3) // 3
 
@@ -239,9 +236,9 @@ class TestComputeSpeedup:
         method = fake_curve([(5000, 0.9)])
         line = compute_speedup(baseline, method).to_json_line()
         assert '"speedup": null' in line
-        restored = speedup_report_from_json(line)
-        assert restored.speedup is None
-        assert restored.baseline_backprops == 10000
+        restored = json.loads(line)
+        assert restored["speedup"] is None
+        assert restored["baseline_backprops"] == 10000
 
     def test_first_crossing_is_taken(self):
         baseline = fake_curve([(100, 0.3), (200, 0.25), (300, 0.2)])
@@ -341,6 +338,11 @@ class TestAggregateSeeds:
         assert report.speedup == pytest.approx(1.0)
 
 
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
 class TestRunSerialization:
     def run_real(self, kind="vr"):
         train, test = tiny_pair(num_train=200, num_test=60)
@@ -356,12 +358,14 @@ class TestRunSerialization:
         metrics = self.run_real()
         path = tmp_path / "metrics.csv"
         write_metrics_csv(metrics, path)
-        restored = read_metrics_csv(path, seed=metrics.seed)
-        assert restored.backprops_series == metrics.backprops_series
-        assert restored.eval_iterations == metrics.eval_iterations
-        assert restored.eval_errors == metrics.eval_errors  # repr round-trip
-        assert restored.corrupted_frac_series == metrics.corrupted_frac_series
-        assert restored.gate_on_series == metrics.gate_on_series
+        header, *rows = read_csv(path)
+        assert header == METRICS_HEADER
+        assert [int(row[0]) for row in rows] == list(range(metrics.num_iterations))
+        assert [int(row[1]) for row in rows] == metrics.backprops_series
+        evals = [(int(row[0]), float(row[2])) for row in rows if row[2]]
+        assert evals == list(zip(metrics.eval_iterations, metrics.eval_errors))  # repr round-trip
+        assert [float(row[3]) for row in rows] == metrics.corrupted_frac_series
+        assert [int(row[4]) for row in rows] == metrics.gate_on_series
 
     def test_gate_column_blank_for_non_vr(self, tmp_path):
         metrics = self.run_real(kind="uniform")
@@ -370,7 +374,6 @@ class TestRunSerialization:
         lines = path.read_text().splitlines()
         assert lines[0] == ",".join(METRICS_HEADER)
         assert all(line.endswith(",") for line in lines[1:])
-        assert read_metrics_csv(path).gate_on_series is None
 
     def test_error_column_only_on_eval_rows(self, tmp_path):
         metrics = self.run_real(kind="uniform")
@@ -392,18 +395,12 @@ class TestRunSerialization:
         save_run(metrics, tmp_path / "seed_5")
         assert json.loads((tmp_path / "seed_5" / "run.json").read_text()) == {
             "seed": 5, "status": "ok"}
-        restored = load_run(tmp_path / "seed_5")
-        assert restored.seed == metrics.seed
-        assert restored.diverged == metrics.diverged
-        assert restored.pick_counts == metrics.pick_counts
-        assert restored.eval_errors == metrics.eval_errors
-        assert restored.best_test_error == metrics.best_test_error
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("iteration,whatever\n0,1\n")
-        with pytest.raises(ConfigurationError):
-            read_metrics_csv(path)
+        write_metrics_csv(metrics, tmp_path / "metrics.csv")
+        saved = (tmp_path / "seed_5" / "metrics.csv").read_bytes()
+        assert saved == (tmp_path / "metrics.csv").read_bytes()
+        header, *rows = read_csv(tmp_path / "seed_5" / "picks.csv")
+        assert header == ["id", "picks"]
+        assert {int(i): int(n) for i, n in rows} == metrics.pick_counts
 
 
 # sha256 of json.dumps([batch_log, eval_errors, gate_on_series]) per variant,

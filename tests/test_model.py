@@ -10,18 +10,16 @@ from lossprio.model import (
     ModelParams,
     TrainerConfig,
     Workspace,
+    _backward,
     forward,
     gradient_check,
     init_params,
     init_sgd_state,
     learning_rate_at,
     load_checkpoint,
-    loss_and_gradients,
-    params_to_vector,
     prediction_entropy,
     save_checkpoint,
     sgd_step,
-    vector_to_params,
 )
 
 
@@ -127,9 +125,9 @@ class TestBackwardAndUpdate:
         vel_w, vel_b = np.zeros((1, 2)), np.zeros(2)
         for _ in range(2):
             ref = ModelParams([expect_w.copy()], [expect_b.copy()])
-            _, (gw, gb) = loss_and_gradients(ref, X, y)
-            vel_w = 0.5 * vel_w + (gw[0] + 0.1 * expect_w)
-            vel_b = 0.5 * vel_b + (gb[0] + 0.1 * expect_b)
+            grad = _backward(ref, X, y)[1]
+            vel_w = 0.5 * vel_w + (grad.weights[0] + 0.1 * expect_w)
+            vel_b = 0.5 * vel_b + (grad.biases[0] + 0.1 * expect_b)
             expect_w = expect_w - 0.2 * vel_w
             expect_b = expect_b - 0.2 * vel_b
             sgd_step(params, X, y, cfg, state, lr=0.2)
@@ -138,7 +136,7 @@ class TestBackwardAndUpdate:
 
     def test_steps_bit_equal_to_per_layer_reference(self):
         # the flat-vector update against the per-layer rule written out from
-        # loss_and_gradients: v = m*v + (g + wd*w); w = w - lr*v, to the bit
+        # the per-layer gradients: v = m*v + (g + wd*w); w = w - lr*v, to the bit
         rng = np.random.default_rng(13)
         params = init_params([6, 9, 7, 4], rng)
         ref_w = [w.copy() for w in params.weights]
@@ -149,7 +147,8 @@ class TestBackwardAndUpdate:
         state = init_sgd_state(params)
         for step, lr in enumerate((0.3, 0.3, 0.1, 0.05, 0.05, 0.01)):
             X, y = rng.standard_normal((11, 6)), rng.integers(4, size=11)
-            ref_loss, (gw, gb) = loss_and_gradients(ModelParams(ref_w, ref_b), X, y)
+            ref_loss, grad = _backward(ModelParams(ref_w, ref_b), X, y)
+            gw, gb = grad.weights, grad.biases
             for i in range(len(ref_w)):
                 vel_w[i] = cfg.momentum * vel_w[i] + (gw[i] + cfg.weight_decay * ref_w[i])
                 vel_b[i] = cfg.momentum * vel_b[i] + (gb[i] + cfg.weight_decay * ref_b[i])
@@ -183,11 +182,11 @@ class TestBackwardAndUpdate:
     def test_zero_learning_rate_keeps_params(self):
         rng = np.random.default_rng(6)
         params = init_params([4, 8, 3], rng)
-        before = params_to_vector(params).copy()
+        before = params.vector.copy()
         state = init_sgd_state(params)
         sgd_step(params, rng.standard_normal((5, 4)), rng.integers(3, size=5),
                  TrainerConfig(), state, lr=0.0)
-        assert np.array_equal(params_to_vector(params), before)
+        assert np.array_equal(params.vector, before)
         assert state.updates == 1 and state.backprops == 5
 
     def test_duplicated_batch_matches_single_example(self):
@@ -204,8 +203,7 @@ class TestBackwardAndUpdate:
         sgd_step(single, x, y, cfg, init_sgd_state(single), lr=0.3)
         sgd_step(double, np.vstack([x, x]), np.array([1, 1]), cfg,
                  init_sgd_state(double), lr=0.3)
-        np.testing.assert_allclose(params_to_vector(single), params_to_vector(double),
-                                   rtol=0, atol=1e-14)
+        np.testing.assert_allclose(single.vector, double.vector, rtol=0, atol=1e-14)
 
     def test_backprop_counter_tracks_batch_size(self):
         rng = np.random.default_rng(8)
@@ -323,15 +321,16 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
         assert loaded.architecture == params.architecture
-        assert np.array_equal(params_to_vector(loaded), params_to_vector(params))
+        assert np.array_equal(loaded.vector, params.vector)
 
     def test_vector_round_trip(self):
         params = init_params([6, 5, 4], 23)
-        vec = params_to_vector(params)
-        back = vector_to_params(vec, params.architecture)
-        assert np.array_equal(params_to_vector(back), vec)
+        back = ModelParams.on_vector(params.vector.copy(), params.architecture)
+        assert back.architecture == params.architecture
+        assert all(np.array_equal(a, b) for a, b in zip(back.weights + back.biases,
+                                                        params.weights + params.biases))
         with pytest.raises(ConfigurationError):
-            vector_to_params(vec[:-1], params.architecture)
+            ModelParams.on_vector(params.vector[:-1], params.architecture)
 
 
 class TestTrainingSmoke:

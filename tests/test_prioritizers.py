@@ -1,15 +1,21 @@
 """Histogram, buffer, pool, and the four selection strategies."""
 
-import json
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from reference import (
+    CandidateBuffer,
+    EmptyHistogramError,
+    ReferenceHistogram,
+    histogram_window,
+    pool_entries,
+    selection_probability,
+)
 from scipy import stats
 
 from lossprio.errors import ConfigurationError
 from lossprio.prioritizers import (
-    CandidateBuffer,
-    EmptyHistogramError,
     PoolImportancePrioritizer,
     PrioritizerConfig,
     SamplingPool,
@@ -18,7 +24,6 @@ from lossprio.prioritizers import (
     UniformPrioritizer,
     expected_selection_fraction,
     make_prioritizer,
-    selection_probability,
 )
 
 
@@ -29,34 +34,32 @@ def brute_force_cdf(window, score):
 
 class TestScoreHistogram:
     def test_matches_brute_force_on_random_streams(self):
+        # each score ranks against the window right after its own insertion
         rng = np.random.default_rng(0)
         hist = ScoreHistogram(capacity=16)
         window = []
         for step in range(200):
-            score = float(rng.random())
-            hist.insert(score)
-            window.append(score)
-            window = window[-16:]
-            probe = float(rng.random())
-            assert hist.cdf(probe) == brute_force_cdf(window, probe)
+            chunk = rng.random(int(rng.integers(1, 40)))
+            for score, cdf in zip(chunk.tolist(), hist.insert_many(chunk).tolist()):
+                window = (window + [score])[-16:]
+                assert cdf == brute_force_cdf(window, score)
+        assert histogram_window(hist) == window
 
     def test_fifo_eviction(self):
         hist = ScoreHistogram(capacity=3)
-        for score in (1.0, 2.0, 3.0, 4.0, 5.0):
-            hist.insert(score)
-        assert hist.values() == [3.0, 4.0, 5.0]
-        assert hist.cdf(2.0) == 0.0  # evicted entries no longer count
-        assert hist.cdf(5.0) == 1.0
+        hist.insert_many(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
+        assert histogram_window(hist) == [3.0, 4.0, 5.0]
+        # the evicted 1.0 and 2.0 would raise the rank of 2.5 if they counted
+        assert hist.insert_many(np.array([2.5])).tolist() == [1 / 3]
+        assert histogram_window(hist) == [4.0, 5.0, 2.5]
 
     def test_ties_are_inclusive(self):
         hist = ScoreHistogram(capacity=8)
-        for score in (2.0, 2.0, 2.0, 5.0):
-            hist.insert(score)
-        assert hist.cdf(2.0) == 0.75
+        assert hist.insert_many(np.array([2.0, 2.0, 5.0, 2.0])).tolist()[-1] == 0.75
 
     def test_empty_histogram_raises(self):
         with pytest.raises(EmptyHistogramError):
-            ScoreHistogram(4).cdf(1.0)
+            ReferenceHistogram(4).cdf(1.0)
 
     def test_bad_capacity_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -65,20 +68,20 @@ class TestScoreHistogram:
 
 class TestSelectionProbability:
     def test_beta_zero_always_one(self):
-        hist = ScoreHistogram(4)
+        hist = ReferenceHistogram(4)
         hist.insert(10.0)
         assert selection_probability(-5.0, hist, 0.0) == 1.0
         assert selection_probability(99.0, hist, 0.0) == 1.0
 
     def test_max_score_always_one(self):
-        hist = ScoreHistogram(8)
+        hist = ReferenceHistogram(8)
         for s in (0.5, 1.5, 2.5):
             hist.insert(s)
         assert selection_probability(2.5, hist, 1.0) == 1.0
         assert selection_probability(3.0, hist, 7.0) == 1.0
 
     def test_powers_of_rank(self):
-        hist = ScoreHistogram(8)
+        hist = ReferenceHistogram(8)
         for s in (1.0, 2.0, 3.0, 4.0):
             hist.insert(s)
         assert selection_probability(2.0, hist, 1.0) == brute_force_cdf([1, 2, 3, 4], 2)
@@ -86,7 +89,7 @@ class TestSelectionProbability:
 
     def test_monotone_in_score(self):
         rng = np.random.default_rng(5)
-        hist = ScoreHistogram(64)
+        hist = ReferenceHistogram(64)
         for s in rng.random(64):
             hist.insert(float(s))
         probes = np.sort(rng.random(20))
@@ -94,7 +97,7 @@ class TestSelectionProbability:
         assert probs == sorted(probs)
 
     def test_negative_beta_rejected(self):
-        hist = ScoreHistogram(4)
+        hist = ReferenceHistogram(4)
         hist.insert(1.0)
         with pytest.raises(ConfigurationError):
             selection_probability(1.0, hist, -1.0)
@@ -127,14 +130,12 @@ class TestSamplingPool:
         # q = (0.75, 0.25); scaled squared distance to uniform is
         # 2 * ((0.25)^2 + (0.25)^2) = 0.25
         pool = SamplingPool(capacity=2)
-        pool.push(0, 3.0)
-        pool.push(1, 1.0)
+        pool.extend([0, 1], [3.0, 1.0])
         assert pool.gate_statistic() == pytest.approx(0.25, rel=1e-12)
 
     def test_uniform_losses_have_zero_statistic(self):
         pool = SamplingPool(capacity=4)
-        for i in range(4):
-            pool.push(i, 2.5)
+        pool.extend(range(4), [2.5] * 4)
         assert pool.gate_statistic() == 0.0
 
     def test_constant_losses_draw_uniformly(self):
@@ -142,8 +143,7 @@ class TestSamplingPool:
         counts = np.zeros(4)
         for _ in range(20_000):
             pool = SamplingPool(capacity=4, gate_threshold=0.0)
-            for i in range(4):
-                pool.push(i, 1.0)
+            pool.extend(range(4), [1.0] * 4)
             ids, gate_on = pool.draw(1, rng)
             assert not gate_on
             counts[ids[0]] += 1
@@ -155,8 +155,7 @@ class TestSamplingPool:
         trials = 40_000
         for _ in range(trials):
             pool = SamplingPool(capacity=2, gate_threshold=0.0)
-            pool.push(7, 3.0)
-            pool.push(8, 1.0)
+            pool.extend([7, 8], [3.0, 1.0])
             ids, gate_on = pool.draw(1, rng)
             assert gate_on
             hits += ids[0] == 7
@@ -165,8 +164,7 @@ class TestSamplingPool:
     def test_all_zero_losses_fall_back_to_uniform(self):
         rng = np.random.default_rng(5)
         pool = SamplingPool(capacity=3, gate_threshold=0.0)
-        for i in range(3):
-            pool.push(i, 0.0)
+        pool.extend(range(3), [0.0] * 3)
         ids, gate_on = pool.draw(2, rng)
         assert not gate_on
         assert len(set(ids)) == 2
@@ -174,30 +172,28 @@ class TestSamplingPool:
     def test_draw_removes_drawn_ids(self):
         rng = np.random.default_rng(6)
         pool = SamplingPool(capacity=4)
-        for i in range(4):
-            pool.push(i, float(i + 1))
+        pool.extend(range(4), [1.0, 2.0, 3.0, 4.0])
         ids, _ = pool.draw(2, rng)
         assert len(set(ids)) == 2
-        remaining = [i for i, _ in pool.entries]
+        remaining = [i for i, _ in pool_entries(pool)]
         assert set(remaining) == set(range(4)) - set(ids)
 
     def test_high_threshold_closes_gate(self):
         rng = np.random.default_rng(7)
         pool = SamplingPool(capacity=2, gate_threshold=10.0)
-        pool.push(0, 100.0)
-        pool.push(1, 1.0)
+        pool.extend([0, 1], [100.0, 1.0])
         _, gate_on = pool.draw(1, rng)
         assert not gate_on
 
     def test_overdraw_rejected(self):
         pool = SamplingPool(capacity=4)
-        pool.push(0, 1.0)
+        pool.extend([0], [1.0])
         with pytest.raises(ConfigurationError):
             pool.draw(2, np.random.default_rng(0))
 
     def test_negative_loss_rejected(self):
         with pytest.raises(ConfigurationError):
-            SamplingPool(capacity=2).push(0, -1.0)
+            SamplingPool(capacity=2).extend([0], [-1.0])
 
 
 def feed_stream(prio, scores, batch=None, start_id=0):
@@ -269,7 +265,7 @@ class TestSelectiveBackprop:
         sb = SelectiveBackpropPrioritizer(batch_size=2, seed=7, beta=1.0, score="entropy")
         probs = np.array([[1.0, 0.0], [0.5, 0.5]])
         sb.feed([0, 1], losses=np.array([9.0, 9.0]), probabilities=probs)
-        window = sb.histogram.values()
+        window = histogram_window(sb.histogram)
         np.testing.assert_allclose(window, [0.0, np.log(2)], atol=1e-12)
 
     def test_entropy_variant_requires_distributions(self):
@@ -345,37 +341,35 @@ class TestMakePrioritizer:
                     assert set(batch) <= fed
 
 
-class TestStateSnapshot:
-    def test_snapshot_round_trips_through_json(self):
+class TestSelectorState:
+    def test_window_and_counters_after_a_feed(self):
         sb = SelectiveBackpropPrioritizer(batch_size=4, seed=14, beta=1.0,
                                           histogram_capacity=8)
         feed_stream(sb, np.array([3.0, 1.0, 2.0, 5.0, 4.0]), batch=5)
-        state = json.loads(sb.state_snapshot())
-        assert state["kind"] == "sb_loss"
-        assert state["window"] == [3.0, 1.0, 2.0, 5.0, 4.0]
-        assert state["ingested"] == 5
+        assert sb.kind == "sb_loss"
+        assert histogram_window(sb.histogram) == [3.0, 1.0, 2.0, 5.0, 4.0]
+        assert sb.ingested == 5
 
-    def test_identical_streams_identical_snapshots(self):
+    def test_identical_streams_identical_state(self):
         runs = []
         for _ in range(2):
             prio = PoolImportancePrioritizer(batch_size=2, seed=15, pool_capacity=6)
             prio.feed([0, 1, 2, 3], np.array([1.0, 2.0, 3.0, 4.0]))
-            runs.append(prio.state_snapshot())
+            runs.append((pool_entries(prio.pool), prio.ingested, prio.selected,
+                         prio.rng.bit_generator.state))
         assert runs[0] == runs[1]
 
-    def test_golden_pool_snapshot(self):
+    def test_golden_pool_state(self):
         prio = PoolImportancePrioritizer(batch_size=4, seed=0, pool_capacity=8)
         prio.feed([10, 11], np.array([1.5, 2.5]))
-        expected = (
-            '{"batch_size": 4, "gate_threshold": 0.0, "ingested": 2, "kind": "vr", '
-            '"pool": [[10, 1.5], [11, 2.5]], "pool_capacity": 8, "selected": 0}'
-        )
-        assert prio.state_snapshot() == expected
+        assert (prio.kind, prio.batch_size, prio.ingested, prio.selected) == ("vr", 4, 2, 0)
+        assert pool_entries(prio.pool) == [(10, 1.5), (11, 2.5)]
+        assert (prio.pool.capacity, prio.pool.gate_threshold) == (8, 0.0)
 
 
 def per_example_selective_backprop(batch_size, seed, beta, capacity, feeds):
     """The per-example reference: insert, rank against the window, admit."""
-    hist, rng = ScoreHistogram(capacity), np.random.default_rng(seed)
+    hist, rng = ReferenceHistogram(capacity), np.random.default_rng(seed)
     queue, batches = CandidateBuffer(batch_size), []
     for ids, scores in feeds:
         for example_id, score in zip(ids, scores):
@@ -388,7 +382,7 @@ def per_example_selective_backprop(batch_size, seed, beta, capacity, feeds):
             if admitted:
                 queue.push(example_id)
         batches.extend(queue.drain())
-    return batches, hist.values(), rng
+    return batches, histogram_window(hist), rng
 
 
 class TestBatchedSelectionMatchesPerExample:
@@ -408,7 +402,7 @@ class TestBatchedSelectionMatchesPerExample:
                                             histogram_capacity=capacity)
         got = [batch for ids, chunk in feeds for batch in prio.feed(ids, chunk)]
         assert got == expected
-        assert prio.histogram.values() == window
+        assert histogram_window(prio.histogram) == window
         assert prio.rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_pool_draw(self):
@@ -438,14 +432,13 @@ class TestBatchedSelectionMatchesPerExample:
             threshold = (0.0, 0.3, 1e9)[trial % 3]
             entries = list(zip(data.permutation(10 * size)[:size].tolist(), losses.tolist()))
             pool = SamplingPool(capacity=size, gate_threshold=threshold)
-            for example_id, loss in entries:
-                pool.push(example_id, loss)
+            pool.extend(*zip(*entries))
             seed = int(data.integers(1 << 30))
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = pool.draw(batch_size, rng)
             picked, gate_on, rest = reference(entries, batch_size, threshold, ref_rng)
             assert got == (picked, gate_on)
-            assert pool.entries == rest
+            assert pool_entries(pool) == rest
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             gates.add(gate_on)
         assert gates == {True, False}
@@ -453,10 +446,30 @@ class TestBatchedSelectionMatchesPerExample:
         # rng.choice cannot go on once only zero losses are left; the pool
         # takes every positive loss first and then picks uniformly
         pool = SamplingPool(capacity=6)
-        for example_id, loss in enumerate([0.0, 2.0, 0.0, 1.0, 0.0, 0.0]):
-            pool.push(example_id, loss)
+        pool.extend(range(6), [0.0, 2.0, 0.0, 1.0, 0.0, 0.0])
         ids, gate_on = pool.draw(4, np.random.default_rng(0))
         assert gate_on and set(ids[:2]) == {1, 3} and len(set(ids)) == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(capacity=st.integers(1, 40),
+       scores=st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.5]) | st.floats(0.0, 10.0),
+                       max_size=150),
+       cuts=st.lists(st.integers(0, 150)))
+def test_insert_many_matches_the_reference(capacity, scores, cuts):
+    # any chunking of one feed, ties included, ranks each score exactly as
+    # inserting and ranking them one at a time does
+    ref = ReferenceHistogram(capacity)
+    expected = []
+    for score in scores:
+        ref.insert(score)
+        expected.append(ref.cdf(score))
+    bounds = sorted({0, len(scores), *(c for c in cuts if c < len(scores))})
+    hist = ScoreHistogram(capacity)
+    got = [cdf for lo, hi in zip(bounds, bounds[1:])
+           for cdf in hist.insert_many(np.array(scores[lo:hi])).tolist()]
+    assert got == expected
+    assert histogram_window(hist) == histogram_window(ref)
 
 
 def test_histogram_smaller_than_batch_rejected():
