@@ -54,12 +54,14 @@ def _grid_cell(cell) -> tuple[str, float]:
     if isinstance(cell, dict):
         cell = (cell.get("kind", "none"), cell.get("fraction", 0.0))
     kind, fraction = cell
+    CorruptionSpec(str(kind), float(fraction))  # rejects an unknown kind or fraction
     return str(kind), float(fraction)
 
 
 # Field annotations (strings, as every config module postpones them) of the
-# numeric fields _build checks on input.
-_NUMBER_TYPES = {"int": Integral, "float": Real, "int | None": (Integral, type(None))}
+# number and string fields _build checks on input.
+_FIELD_TYPES = {"int": Integral, "float": Real, "int | None": (Integral, type(None)),
+                "str": str, "str | None": (str, type(None))}
 
 
 @dataclass
@@ -133,8 +135,6 @@ class BenchmarkConfig:
                     PrioritizerConfig(kind="vr"),
                 ),
             )
-        for kind, fraction in grid:
-            CorruptionSpec(kind=kind, fraction=fraction, seed=self.corruption_seed)
         labels = [v.label() for v in self.variants]
         repeated = next((x for i, x in enumerate(labels) if x in labels[:i]), None)
         if repeated is not None:  # both would write one run directory
@@ -150,7 +150,7 @@ def _build(cls, raw: dict, context: str):
         raise ConfigurationError(f"{context}: unknown keys {sorted(unknown)}")
     for name, value in raw.items():
         annotation = fields[name].type
-        types = _NUMBER_TYPES.get(annotation)
+        types = _FIELD_TYPES.get(annotation)
         if types and (isinstance(value, bool) or not isinstance(value, types)):
             raise ConfigurationError(f"{context}: {name}: expected {annotation}, got {value!r}")
     try:

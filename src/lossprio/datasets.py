@@ -107,13 +107,11 @@ class CorruptionSpec:
     seed: int = 0
 
     def __post_init__(self):
-        kind = self.kind
-        if isinstance(kind, str):
-            try:
-                kind = CorruptionKind(kind)
-            except ValueError:
-                raise ConfigurationError(f"unknown corruption kind {self.kind!r}") from None
-            object.__setattr__(self, "kind", kind)
+        try:
+            kind = CorruptionKind(self.kind)
+        except ValueError:
+            raise ConfigurationError(f"kind: unknown corruption kind {self.kind!r}") from None
+        object.__setattr__(self, "kind", kind)
         if not 0.0 <= self.fraction <= 1.0:
             raise ConfigurationError(f"corruption fraction {self.fraction} outside [0, 1]")
         if kind is CorruptionKind.NONE and self.fraction > 0.0:

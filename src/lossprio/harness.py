@@ -80,10 +80,12 @@ class RunMetrics:
 
 def evaluate_error(params, features, labels, chunk_size: int = EVAL_CHUNK,
                    workspace: Workspace | None = None) -> float:
-    """Fraction of examples misclassified; a workspace must hold chunk_size rows."""
+    """Fraction of examples misclassified; a workspace must hold chunk_size
+    rows, and a call given none makes one."""
     n = len(labels)
     if n == 0:
         raise ConfigurationError("cannot evaluate on an empty split")
+    workspace = workspace or Workspace(params, min(chunk_size, n))
     wrong = 0
     for start in range(0, n, chunk_size):
         stop = min(start + chunk_size, n)
@@ -156,19 +158,16 @@ def run_training(
                         )
                     losses, probabilities = scored.losses, scored.probabilities
                 # an example's id is its row
-                emitted = prio.feed(rows.tolist(), losses, probabilities)
-                gate_flags = prio.consume_gate_flags()
-                for pos, chosen_ids in enumerate(emitted):
-                    chosen_rows = np.array(chosen_ids)
-                    sgd_step(params, *workspace.gather(feats, labels, chosen_rows),
+                for chosen, gate_on in prio.feed(rows, losses, probabilities):
+                    sgd_step(params, *workspace.gather(feats, labels, chosen),
                              trainer_cfg, state, lr, workspace)
-                    np.add.at(picks, chosen_rows, 1)
+                    np.add.at(picks, chosen, 1)
                     metrics.backprops_series.append(state.backprops)
-                    metrics.corrupted_frac_series.append(float(mask[chosen_rows].mean()))
-                    if metrics.gate_on_series is not None:
-                        metrics.gate_on_series.append(int(gate_flags[pos]))
+                    metrics.corrupted_frac_series.append(float(mask[chosen].mean()))
+                    if gate_on is not None:
+                        metrics.gate_on_series.append(int(gate_on))
                     if batch_log is not None:
-                        batch_log.append(list(chosen_ids))
+                        batch_log.append(chosen.tolist())
                     if state.backprops >= next_eval:
                         err = evaluate_error(params, test_feats, test_labels,
                                              workspace=workspace)

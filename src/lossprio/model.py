@@ -106,14 +106,15 @@ def init_params(architecture, rng) -> ModelParams:
 
 
 class Workspace:
-    """Arrays that forward, sgd_step and evaluate_error write into instead of
-    allocating: a batch gathered from a split, each layer's activations, the
-    back-propagated deltas, the flat gradient and the weight-decay term.
+    """Arrays that forward, sgd_step and evaluate_error write into: a batch
+    gathered from a split, each layer's activations, the back-propagated
+    deltas, the flat gradient and the weight-decay term.
 
     Calls take the first n rows of each buffer, so one workspace serves any
-    batch of at most ``rows`` examples.  Whatever a call returns that lives
-    in the workspace (a ForwardResult's probabilities, say) is overwritten by
-    the next call given it, so two threads must never share one.
+    batch of at most ``rows`` examples; a call given none makes its own, sized
+    to its batch.  Whatever a call returns that lives in the workspace (a
+    ForwardResult's probabilities, say) is overwritten by the next call given
+    it, so two threads must never share one.
     """
 
     def __init__(self, params: ModelParams, rows: int):
@@ -134,11 +135,6 @@ class Workspace:
                 np.take(labels, rows, out=self.labels[:n], mode="clip"))
 
 
-def _out(buffers, i: int, rows: int):
-    """The first ``rows`` rows of buffers[i], or None to let numpy allocate."""
-    return None if buffers is None else buffers[i][:rows]
-
-
 @dataclass
 class ForwardResult:
     """Batch outputs: per-example loss, class distribution, and argmax class."""
@@ -149,13 +145,12 @@ class ForwardResult:
 
 
 def _activations(params: ModelParams, features: np.ndarray,
-                 workspace: Workspace | None = None) -> list[np.ndarray]:
+                 workspace: Workspace) -> list[np.ndarray]:
     """Post-activation values per layer; the last entry is the logits."""
     acts = [features]
     last = len(params.weights) - 1
-    buffers = None if workspace is None else workspace.acts
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = np.matmul(acts[-1], w, out=_out(buffers, i, len(features)))
+        z = np.matmul(acts[-1], w, out=workspace.acts[i][: len(features)])
         z += b
         acts.append(z if i == last else np.tanh(z, out=z))
     return acts
@@ -185,6 +180,7 @@ def forward(params: ModelParams, features: np.ndarray, labels: np.ndarray,
     num_classes = params.weights[-1].shape[1]
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ConfigurationError(f"labels outside [0, {num_classes})")
+    workspace = workspace or Workspace(params, len(features))
     logits = _activations(params, features, workspace)[-1]
     predictions = logits.argmax(axis=1)
     logp = _log_softmax(logits)
@@ -194,10 +190,12 @@ def forward(params: ModelParams, features: np.ndarray, labels: np.ndarray,
 
 def _backward(params: ModelParams, features, labels,
               workspace: Workspace | None = None) -> tuple[float, ModelParams]:
-    """Mean cross-entropy over the batch and its gradient, laid out like params."""
+    """Mean cross-entropy over the batch and its gradient, laid out like params;
+    the gradient is the workspace's."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     batch = features.shape[0]
+    workspace = workspace or Workspace(params, batch)
     rows = np.arange(batch)
     acts = _activations(params, features, workspace)
     logp = _log_softmax(acts[-1])
@@ -206,11 +204,7 @@ def _backward(params: ModelParams, features, labels,
     delta = np.exp(logp, out=logp)
     delta[rows, labels] -= 1.0
     delta /= batch
-    if workspace is None:
-        grad = ModelParams.on_vector(np.empty_like(params.vector), params.architecture)
-    else:
-        grad = workspace.grad
-    deltas = None if workspace is None else workspace.deltas
+    grad = workspace.grad
     for i in range(len(params.weights) - 1, -1, -1):
         np.matmul(acts[i].T, delta, out=grad.weights[i])
         np.sum(delta, axis=0, out=grad.biases[i])
@@ -218,7 +212,8 @@ def _backward(params: ModelParams, features, labels,
             # tanh'(z) = 1 - a**2, written over the activations already used
             slope = np.multiply(acts[i], acts[i], out=acts[i])
             np.subtract(1.0, slope, out=slope)
-            slope *= np.matmul(delta, params.weights[i].T, out=_out(deltas, i - 1, batch))
+            slope *= np.matmul(delta, params.weights[i].T,
+                               out=workspace.deltas[i - 1][:batch])
             delta = slope
     return loss, grad
 
@@ -245,12 +240,12 @@ def sgd_step(params: ModelParams, features, labels, cfg: TrainerConfig, state: S
     into the momentum buffer, then the step is applied at the given rate.
     Nothing changes when the loss or the gradient is not finite.
     """
+    workspace = workspace or Workspace(params, len(features))
     loss, grad = _backward(params, features, labels, workspace)
     step = grad.vector
     if not (math.isfinite(loss) and np.isfinite(step).all()):
         raise TrainingDivergedError("non-finite loss or gradient", iteration=state.updates)
-    step += np.multiply(params.vector, cfg.weight_decay,
-                        out=None if workspace is None else workspace.decay)
+    step += np.multiply(params.vector, cfg.weight_decay, out=workspace.decay)
     state.velocity *= cfg.momentum
     state.velocity += step
     np.multiply(state.velocity, lr, out=step)

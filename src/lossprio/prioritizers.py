@@ -1,8 +1,10 @@
 """Batch selection strategies that decide which examples earn an update.
 
-All strategies share one contract: feed a candidate mini-batch of
-(id, loss, prediction distribution) triples, get back zero or more
-training batches of ids, each exactly batch_size long.  Strategies own a
+All strategies share one contract: ``feed(rows, losses, probabilities)``
+takes a candidate mini-batch (int64 row ids, each row's loss and prediction
+distribution) and returns zero or more ``(rows, gate_on)`` pairs: a training
+batch of exactly batch_size fed ids as an int64 array, and the ``vr`` gate
+decision behind it (None for the kinds without a gate).  Strategies own a
 seeded generator, so a run is reproducible from its config alone.
 
 Four kinds exist:
@@ -229,12 +231,9 @@ class Prioritizer:
         self.ingested = 0
         self.selected = 0
 
-    def feed(self, ids, losses=None, probabilities=None) -> list[list[int]]:
+    def feed(self, rows: np.ndarray, losses=None,
+             probabilities=None) -> list[tuple[np.ndarray, bool | None]]:
         raise NotImplementedError
-
-    def consume_gate_flags(self) -> list[bool]:
-        """Gate decisions for batches emitted since the last call (vr only)."""
-        return []
 
     @staticmethod
     def _check_scores(scores) -> np.ndarray:
@@ -252,11 +251,10 @@ class UniformPrioritizer(Prioritizer):
     kind = "uniform"
     needs_scores = False
 
-    def feed(self, ids, losses=None, probabilities=None) -> list[list[int]]:
-        batch = [int(i) for i in ids]
-        self.ingested += len(batch)
-        self.selected += len(batch)
-        return [batch]
+    def feed(self, rows, losses=None, probabilities=None):
+        self.ingested += len(rows)
+        self.selected += len(rows)
+        return [(rows, None)]
 
 
 class SelectiveBackpropPrioritizer(Prioritizer):
@@ -276,26 +274,25 @@ class SelectiveBackpropPrioritizer(Prioritizer):
         seed: int,
         beta: float,
         histogram_capacity: int = DEFAULT_HISTOGRAM_CAPACITY,
-        score: str = "loss",
+        kind: str = "sb_loss",
     ):
         super().__init__(batch_size, seed)
         if beta < 0:
             raise ConfigurationError("beta must be nonnegative")
-        if score not in ("loss", "entropy"):
-            raise ConfigurationError(f"unknown score source {score!r}")
+        if kind not in ("sb_loss", "sb_entropy"):
+            raise ConfigurationError(f"unknown selective backprop kind {kind!r}")
         if histogram_capacity < batch_size:
             # the window could never hold a batch, so warm-up would never end
             raise ConfigurationError(
                 f"histogram capacity {histogram_capacity} smaller than batch size {batch_size}"
             )
         self.beta = beta
-        self.score_source = score
-        self.kind = "sb_loss" if score == "loss" else "sb_entropy"
+        self.kind = kind
         self.histogram = ScoreHistogram(histogram_capacity)
-        self._queue: list[int] = []  # admitted ids not yet in a batch
+        self._queue = np.empty(0, dtype=np.int64)  # admitted ids not yet in a batch
 
-    def feed(self, ids, losses=None, probabilities=None) -> list[list[int]]:
-        if self.score_source == "loss":
+    def feed(self, rows, losses=None, probabilities=None):
+        if self.kind == "sb_loss":
             if losses is None:
                 raise ConfigurationError("sb_loss needs per-example losses")
             scores = self._check_scores(losses)
@@ -303,8 +300,8 @@ class SelectiveBackpropPrioritizer(Prioritizer):
             if probabilities is None:
                 raise ConfigurationError("sb_entropy needs prediction distributions")
             scores = self._check_scores(prediction_entropy(np.atleast_2d(probabilities)))
-        if len(scores) != len(ids):
-            raise ConfigurationError("ids and scores must have equal length")
+        if len(scores) != len(rows):
+            raise ConfigurationError("rows and scores must have equal length")
 
         # warm-up: the leading scores that leave the window below one batch
         warm = max(self.batch_size - 1 - len(self.histogram), 0)
@@ -318,12 +315,11 @@ class SelectiveBackpropPrioritizer(Prioritizer):
 
         self.ingested += len(scores)
         self.selected += int(admitted.sum())
-        self._queue.extend(np.asarray(ids)[admitted].tolist())
-        full = len(self._queue) - len(self._queue) % self.batch_size
-        batches = [self._queue[lo : lo + self.batch_size]
-                   for lo in range(0, full, self.batch_size)]
-        del self._queue[:full]
-        return batches
+        queue = np.concatenate((self._queue, rows[admitted]))
+        full = len(queue) - len(queue) % self.batch_size
+        self._queue = queue[full:]
+        return [(queue[lo : lo + self.batch_size], None)
+                for lo in range(0, full, self.batch_size)]
 
 
 class PoolImportancePrioritizer(Prioritizer):
@@ -351,46 +347,35 @@ class PoolImportancePrioritizer(Prioritizer):
                 f"pool capacity {capacity} smaller than batch size {batch_size}"
             )
         self.pool = SamplingPool(capacity, gate_threshold)
-        self._pending_gates: list[bool] = []
 
-    def feed(self, ids, losses=None, probabilities=None) -> list[list[int]]:
+    def feed(self, rows, losses=None, probabilities=None):
         if losses is None:
             raise ConfigurationError("vr needs per-example losses")
         losses = self._check_scores(losses)
-        if len(losses) != len(ids):
-            raise ConfigurationError("ids and losses must have equal length")
+        if len(losses) != len(rows):
+            raise ConfigurationError("rows and losses must have equal length")
         batches = []
         lo = 0
         while lo < len(losses):
             hi = min(lo + self.pool.capacity - len(self.pool), len(losses))
-            self.pool.extend(ids[lo:hi], losses[lo:hi])
+            self.pool.extend(rows[lo:hi], losses[lo:hi])
             self.ingested += hi - lo
             lo = hi
             if self.pool.is_full:
-                ids_drawn, gate_on = self.pool.draw(self.batch_size, self.rng)
+                drawn, gate_on = self.pool.draw(self.batch_size, self.rng)
                 self.pool.clear()  # undrawn candidates are dropped, not recycled
-                self.selected += len(ids_drawn)
-                self._pending_gates.append(gate_on)
-                batches.append(ids_drawn)
+                self.selected += len(drawn)
+                batches.append((np.array(drawn, dtype=np.int64), gate_on))
         return batches
-
-    def consume_gate_flags(self) -> list[bool]:
-        flags = self._pending_gates
-        self._pending_gates = []
-        return flags
 
 
 def make_prioritizer(cfg: PrioritizerConfig, batch_size: int) -> Prioritizer:
     """Build the strategy named by cfg.kind for the given training batch size."""
     if cfg.kind == "uniform":
         return UniformPrioritizer(batch_size, cfg.seed)
-    if cfg.kind == "sb_loss":
+    if cfg.kind in ("sb_loss", "sb_entropy"):
         return SelectiveBackpropPrioritizer(
-            batch_size, cfg.seed, cfg.beta, cfg.histogram_capacity, score="loss"
-        )
-    if cfg.kind == "sb_entropy":
-        return SelectiveBackpropPrioritizer(
-            batch_size, cfg.seed, cfg.beta, cfg.histogram_capacity, score="entropy"
+            batch_size, cfg.seed, cfg.beta, cfg.histogram_capacity, cfg.kind
         )
     if cfg.kind == "vr":
         return PoolImportancePrioritizer(

@@ -49,7 +49,7 @@ def check_selection_rates() -> tuple[str, bool, str]:
         )
         for lo in range(0, DRAWS, 512):
             chunk = scores[lo : lo + 512]
-            prio.feed(list(range(lo, lo + len(chunk))), chunk)
+            prio.feed(np.arange(lo, lo + len(chunk)), chunk)
         gaps[beta] = abs(prio.selected / prio.ingested - expected_selection_fraction(beta))
     return (
         "selection rate matches 1/(beta+1)",

@@ -243,12 +243,29 @@ class TestBenchmarkCommand:
         assert len(corrupted_rows) == 100  # half of 200 train examples
 
 
+def stub_checks(monkeypatch, failing=()):
+    """Replace the four checks with stubs that pass unless named in failing;
+    tests/test_acceptance.py runs the real ones."""
+    for name in ("check_selection_rates", "check_gradients", "check_pool_gate",
+                 "check_corruptions"):
+        result = (name, name not in failing, "stub")
+        monkeypatch.setattr(selftest, name, lambda result=result: result)
+
+
 class TestSelftestCommand:
-    def test_reports_pass_for_every_check(self, capsys):
+    def test_reports_pass_for_every_check(self, capsys, monkeypatch):
+        stub_checks(monkeypatch)
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert out.count("PASS:") >= 4
+        assert out.count("PASS:") == 4
         assert "FAIL:" not in out
+
+    def test_failing_check_reports_fail_and_exits_one(self, capsys, monkeypatch):
+        stub_checks(monkeypatch, failing={"check_pool_gate"})
+        assert main(["selftest"]) == 1
+        out = capsys.readouterr().out
+        assert out.count("PASS:") == 3
+        assert "FAIL: check_pool_gate (stub)" in out
 
     @pytest.mark.parametrize("option", [["--threads", "7"], ["--config", "nonexistent.json"],
                                         ["--seed", "9"], ["--out", "somewhere"]])

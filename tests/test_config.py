@@ -71,20 +71,31 @@ class TestExperimentParsing:
             experiment_config_from_dict({"seeds": []})
 
     @pytest.mark.parametrize(
-        "raw, where",
+        "command, raw, where",
         [
-            ({"corruption_grid": [["gaussian", 0.5, 1]]}, r"corruption_grid\[0\]"),
-            ({"seeds": ["a"]}, r"seeds\[0\] = 'a'"),
-            ({"dataset": {"num_train": "5000"}}, r"\.dataset: num_train"),
+            ("benchmark", {"corruption_grid": [["gaussian", 0.5, 1]]}, r"corruption_grid\[0\]"),
+            ("benchmark", {"corruption_grid": [["salt", 0.5]]},
+             r"corruption_grid\[0\] = \['salt', 0.5\]: kind: unknown corruption kind 'salt'"),
+            ("benchmark", {"seeds": ["a"]}, r"seeds\[0\] = 'a'"),
+            ("benchmark", {"dataset": {"num_train": "5000"}}, r"\.dataset: num_train"),
+            ("benchmark", {"dataset": {"type": "idx", "train_images": 5, "test_images": 6}},
+             r"\.dataset: train_images: expected str \| None, got 5"),
+            ("train", {"corruption": {"kind": 5, "fraction": 0.5}},
+             r"\.corruption: kind: unknown corruption kind 5"),
+            ("train", {"corruption": {"kind": None}},
+             r"\.corruption: kind: unknown corruption kind None"),
+            ("train", {"output_dir": 5}, r"json: output_dir: expected str \| None, got 5"),
         ],
     )
-    def test_malformed_config_exits_two_with_location(self, tmp_path, capsys, raw, where):
+    def test_malformed_config_exits_two_with_location(self, tmp_path, capsys, command, raw,
+                                                      where):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(raw))
-        assert main(["benchmark", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}")
         assert re.search(where, err), err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "field, value",

@@ -16,6 +16,7 @@ from scipy import stats
 
 from lossprio.errors import ConfigurationError
 from lossprio.prioritizers import (
+    PRIORITIZER_KINDS,
     PoolImportancePrioritizer,
     PrioritizerConfig,
     SamplingPool,
@@ -197,13 +198,13 @@ class TestSamplingPool:
 
 
 def feed_stream(prio, scores, batch=None, start_id=0):
-    """Push scores through in chunks, returning all emitted batches."""
+    """Push scores through in chunks, returning all emitted batches as lists."""
     batch = batch or prio.batch_size
     emitted = []
     for lo in range(0, len(scores), batch):
         chunk = scores[lo : lo + batch]
-        ids = list(range(start_id + lo, start_id + lo + len(chunk)))
-        emitted.extend(prio.feed(ids, chunk))
+        rows = np.arange(start_id + lo, start_id + lo + len(chunk))
+        emitted.extend(chosen.tolist() for chosen, _ in prio.feed(rows, chunk))
     return emitted
 
 
@@ -235,7 +236,7 @@ class TestSelectiveBackprop:
     def test_warm_up_admits_everything(self):
         rng = np.random.default_rng(9)
         sb = SelectiveBackpropPrioritizer(batch_size=64, seed=4, beta=8.0)
-        sb.feed(list(range(63)), rng.random(63))
+        sb.feed(np.arange(63), rng.random(63))
         assert sb.selected == 63  # window below one batch: no filtering yet
 
     def test_oversamples_planted_high_scores(self):
@@ -256,22 +257,22 @@ class TestSelectiveBackprop:
     def test_scores_must_be_finite_and_nonnegative(self):
         sb = SelectiveBackpropPrioritizer(batch_size=4, seed=6, beta=1.0)
         with pytest.raises(ConfigurationError):
-            sb.feed([0], np.array([-1.0]))
+            sb.feed(np.array([0]), np.array([-1.0]))
         with pytest.raises(ConfigurationError):
-            sb.feed([0], np.array([np.nan]))
+            sb.feed(np.array([0]), np.array([np.nan]))
 
     def test_entropy_variant_ranks_by_entropy(self):
         # the window must hold entropies of the distributions, not losses
-        sb = SelectiveBackpropPrioritizer(batch_size=2, seed=7, beta=1.0, score="entropy")
+        sb = SelectiveBackpropPrioritizer(batch_size=2, seed=7, beta=1.0, kind="sb_entropy")
         probs = np.array([[1.0, 0.0], [0.5, 0.5]])
-        sb.feed([0, 1], losses=np.array([9.0, 9.0]), probabilities=probs)
+        sb.feed(np.array([0, 1]), losses=np.array([9.0, 9.0]), probabilities=probs)
         window = histogram_window(sb.histogram)
         np.testing.assert_allclose(window, [0.0, np.log(2)], atol=1e-12)
 
     def test_entropy_variant_requires_distributions(self):
-        sb = SelectiveBackpropPrioritizer(batch_size=2, seed=8, beta=1.0, score="entropy")
+        sb = SelectiveBackpropPrioritizer(batch_size=2, seed=8, beta=1.0, kind="sb_entropy")
         with pytest.raises(ConfigurationError):
-            sb.feed([0, 1], losses=np.array([1.0, 2.0]))
+            sb.feed(np.array([0, 1]), losses=np.array([1.0, 2.0]))
 
 
 class TestPoolImportancePrioritizer:
@@ -294,13 +295,13 @@ class TestPoolImportancePrioritizer:
 
     def test_gate_flags_align_with_batches(self):
         prio = PoolImportancePrioritizer(batch_size=2, seed=11, pool_capacity=4)
-        flat = prio.feed(list(range(4)), np.ones(4))
-        flags_flat = prio.consume_gate_flags()
-        spread = prio.feed(list(range(4, 8)), np.array([5.0, 0.1, 0.1, 0.1]))
-        flags_spread = prio.consume_gate_flags()
+        flat = prio.feed(np.arange(4), np.ones(4))
+        flags_flat = [gate_on for _, gate_on in flat]
+        spread = prio.feed(np.arange(4, 8), np.array([5.0, 0.1, 0.1, 0.1]))
+        flags_spread = [gate_on for _, gate_on in spread]
         assert len(flat) == 1 and flags_flat == [False]
         assert len(spread) == 1 and flags_spread == [True]
-        assert prio.consume_gate_flags() == []
+        assert prio.feed(np.arange(8, 10), np.ones(2)) == []
 
     def test_capacity_below_batch_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -310,7 +311,8 @@ class TestPoolImportancePrioritizer:
 class TestMakePrioritizer:
     def test_uniform_passthrough(self):
         prio = make_prioritizer(PrioritizerConfig(kind="uniform", seed=1), batch_size=4)
-        assert prio.feed([3, 1, 4, 1], np.zeros(4)) == [[3, 1, 4, 1]]
+        assert [(rows.tolist(), gate_on) for rows, gate_on
+                in prio.feed(np.array([3, 1, 4, 1]), np.zeros(4))] == [([3, 1, 4, 1], None)]
 
     def test_all_kinds_constructible(self):
         for kind in ("uniform", "sb_loss", "sb_entropy", "vr"):
@@ -325,20 +327,42 @@ class TestMakePrioritizer:
         with pytest.raises(ConfigurationError):
             PrioritizerConfig(kind="magic")
 
-    def test_never_emits_unfed_ids_or_partial_batches(self):
-        rng = np.random.default_rng(13)
-        for kind in ("uniform", "sb_loss", "sb_entropy", "vr"):
-            prio = make_prioritizer(PrioritizerConfig(kind=kind, beta=1.0, seed=5),
-                                    batch_size=16)
-            fed = set()
-            for lo in range(0, 640, 16):
-                ids = list(range(lo, lo + 16))
-                fed.update(ids)
-                losses = rng.random(16) + 0.01
-                probs = rng.dirichlet(np.ones(5), size=16)
-                for batch in prio.feed(ids, losses, probs):
-                    assert len(batch) == 16
-                    assert set(batch) <= fed
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(PRIORITIZER_KINDS), batch_size=st.integers(1, 16),
+           spare=st.integers(0, 40), chunks=st.lists(st.integers(1, 50), max_size=12),
+           seed=st.integers(0, 2**16))
+    def test_never_emits_unfed_ids_or_partial_batches(self, kind, batch_size, spare,
+                                                      chunks, seed):
+        # the harness feeds uniform whole candidate batches, which it passes on
+        # as they are; the other kinds take any chunking of the stream
+        if kind == "uniform":
+            chunks = [batch_size] * len(chunks)
+        capacity = batch_size + spare
+        prio = make_prioritizer(
+            PrioritizerConfig(kind=kind, beta=1.0, histogram_capacity=capacity,
+                              pool_capacity=capacity, seed=seed),
+            batch_size,
+        )
+        data = np.random.default_rng(seed)
+        stream = data.permutation(10 * sum(chunks) + 1)[: sum(chunks)]
+        fed, emitted, lo = set(), [], 0
+        for size in chunks:
+            rows = stream[lo : lo + size]
+            lo += size
+            fed.update(rows.tolist())
+            probs = data.dirichlet(np.ones(5), size=size)
+            for batch, gate_on in prio.feed(rows, data.random(size) + 0.01, probs):
+                assert isinstance(batch, np.ndarray) and batch.dtype == np.int64
+                assert batch.shape == (batch_size,)
+                assert len(set(batch.tolist())) == batch_size
+                assert set(batch.tolist()) <= fed
+                assert isinstance(gate_on, bool) if kind == "vr" else gate_on is None
+                emitted.extend(batch.tolist())
+        # ids are fed once each, so none is emitted twice across batches either
+        assert len(set(emitted)) == len(emitted) == prio.selected - prio.selected % batch_size
+        assert prio.ingested == sum(chunks)
+        if kind == "vr":
+            assert prio.selected == prio.ingested // capacity * batch_size
 
 
 class TestSelectorState:
@@ -354,14 +378,14 @@ class TestSelectorState:
         runs = []
         for _ in range(2):
             prio = PoolImportancePrioritizer(batch_size=2, seed=15, pool_capacity=6)
-            prio.feed([0, 1, 2, 3], np.array([1.0, 2.0, 3.0, 4.0]))
+            prio.feed(np.arange(4), np.array([1.0, 2.0, 3.0, 4.0]))
             runs.append((pool_entries(prio.pool), prio.ingested, prio.selected,
                          prio.rng.bit_generator.state))
         assert runs[0] == runs[1]
 
     def test_golden_pool_state(self):
         prio = PoolImportancePrioritizer(batch_size=4, seed=0, pool_capacity=8)
-        prio.feed([10, 11], np.array([1.5, 2.5]))
+        prio.feed(np.array([10, 11]), np.array([1.5, 2.5]))
         assert (prio.kind, prio.batch_size, prio.ingested, prio.selected) == ("vr", 4, 2, 0)
         assert pool_entries(prio.pool) == [(10, 1.5), (11, 2.5)]
         assert (prio.pool.capacity, prio.pool.gate_threshold) == (8, 0.0)
@@ -400,7 +424,8 @@ class TestBatchedSelectionMatchesPerExample:
 
         prio = SelectiveBackpropPrioritizer(batch_size=16, seed=7, beta=beta,
                                             histogram_capacity=capacity)
-        got = [batch for ids, chunk in feeds for batch in prio.feed(ids, chunk)]
+        got = [rows.tolist() for ids, chunk in feeds
+               for rows, _ in prio.feed(np.array(ids), chunk)]
         assert got == expected
         assert histogram_window(prio.histogram) == window
         assert prio.rng.bit_generator.state == ref_rng.bit_generator.state

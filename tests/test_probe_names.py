@@ -1,0 +1,35 @@
+"""The names perfbench's span probes patch still exist and still get called.
+
+perfbench/layers.py patches lossprio by attribute name and wraps each
+prioritizer's ``feed``.  A rename there would otherwise surface only in a
+traced benchmark run (``perfbench/run.py --trace 1``).
+"""
+
+import sys
+from pathlib import Path
+
+from lossprio import harness
+from lossprio.datasets import generate_synthetic_pair
+from lossprio.model import TrainerConfig
+from lossprio.prioritizers import PRIORITIZER_KINDS, PrioritizerConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import layers  # noqa: E402
+
+
+def test_full_probe_traces_every_kinds_feed():
+    train, test = generate_synthetic_pair(96, 40, num_classes=4, feature_dim=8, seed=2)
+    cfg = TrainerConfig(batch_size=16, total_epochs=1, hidden_layers=(8,), seed=0)
+    with layers.Probe(full=True) as probe:
+        for kind in PRIORITIZER_KINDS:
+            harness.run_training(train, test, cfg, PrioritizerConfig(kind=kind, seed=1),
+                                 eval_every=32)
+    metrics = layers.layer_metrics(probe, passes=1, threads=1, peak_rss_mb=1.0,
+                                   raw_feature_mb=1.0, bytes_written=0.0,
+                                   trace_overhead_frac=0.0)
+    for kind in PRIORITIZER_KINDS:
+        # one feed per candidate batch, each a span under its run
+        assert metrics[f"prioritizers.feed_calls.{kind}"] == len(train) // 16, kind
+        assert metrics[f"model.sgd_step_calls.{kind}"] > 0, kind
+        assert metrics[f"harness.eval_calls.{kind}"] > 0, kind
+    assert harness.make_prioritizer.__module__ == "lossprio.prioritizers"  # probe undone
