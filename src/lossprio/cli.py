@@ -13,6 +13,7 @@ import os
 import sys
 from collections import namedtuple
 from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from multiprocessing import get_context
 from pathlib import Path
@@ -254,6 +255,10 @@ def main(argv=None) -> int:
     except (ConfigurationError, IngestionError, AggregationError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenProcessPool as exc:  # a worker was killed, for example out of memory
+        print(f"error: a worker process died before returning its runs ({exc})",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

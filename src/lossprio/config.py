@@ -17,12 +17,13 @@ from .datasets import (
     CorruptionSpec,
     Dataset,
     apply_corruption,
+    check_synthetic,
     generate_synthetic_pair,
     load_idx_images,
 )
 from .errors import ConfigurationError
 from .model import TrainerConfig
-from .prioritizers import PrioritizerConfig
+from .prioritizers import PRIORITIZER_KINDS, PrioritizerConfig, make_prioritizer
 
 
 def _convert_each(name: str, convert, values) -> tuple:
@@ -59,9 +60,11 @@ def _grid_cell(cell) -> tuple[str, float]:
 
 
 # Field annotations (strings, as every config module postpones them) of the
-# number and string fields _build checks on input.
+# number and string fields _build checks on input, and of the list fields
+# whose entries it checks.
 _FIELD_TYPES = {"int": Integral, "float": Real, "int | None": (Integral, type(None)),
                 "str": str, "str | None": (str, type(None))}
+_ENTRY_TYPES = {"tuple[int, ...]": "int", "tuple[float, ...]": "float"}
 
 
 @dataclass
@@ -84,6 +87,9 @@ class DatasetConfig:
             raise ConfigurationError(f"unknown dataset type {self.type!r}")
         if self.type == "idx" and (self.train_images is None or self.test_images is None):
             raise ConfigurationError("idx datasets need train_images and test_images paths")
+        if self.type == "synthetic":
+            check_synthetic({"num_train": self.num_train, "num_test": self.num_test},
+                            self.num_classes, self.feature_dim, self.cluster_spread)
 
 
 @dataclass
@@ -124,17 +130,8 @@ class BenchmarkConfig:
             raise ConfigurationError("corruption_grid must not be empty")
         if self.eval_every < 1:
             raise ConfigurationError("eval_every must be positive")
-        if not self.variants:
-            object.__setattr__(
-                self,
-                "variants",
-                (
-                    PrioritizerConfig(kind="uniform"),
-                    PrioritizerConfig(kind="sb_loss", beta=1.0),
-                    PrioritizerConfig(kind="sb_entropy", beta=1.0),
-                    PrioritizerConfig(kind="vr"),
-                ),
-            )
+        if not self.variants:  # one of each kind, at its defaults
+            object.__setattr__(self, "variants", tuple(map(PrioritizerConfig, PRIORITIZER_KINDS)))
         labels = [v.label() for v in self.variants]
         repeated = next((x for i, x in enumerate(labels) if x in labels[:i]), None)
         if repeated is not None:  # both would write one run directory
@@ -150,27 +147,34 @@ def _build(cls, raw: dict, context: str):
         raise ConfigurationError(f"{context}: unknown keys {sorted(unknown)}")
     for name, value in raw.items():
         annotation = fields[name].type
-        types = _FIELD_TYPES.get(annotation)
-        if types and (isinstance(value, bool) or not isinstance(value, types)):
-            raise ConfigurationError(f"{context}: {name}: expected {annotation}, got {value!r}")
+        checks = [(name, annotation, value)]
+        if annotation in _ENTRY_TYPES:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigurationError(f"{context}: {name}: expected a list, got {value!r}")
+            checks = [(f"{name}[{i}]", _ENTRY_TYPES[annotation], v) for i, v in enumerate(value)]
+        for where, expected, v in checks:
+            types = _FIELD_TYPES.get(expected)
+            if types and (isinstance(v, bool) or not isinstance(v, types)):
+                raise ConfigurationError(f"{context}: {where}: expected {expected}, got {v!r}")
     try:
         return cls(**raw)
     except (TypeError, ValueError) as exc:  # ConfigurationError is a ValueError
         raise ConfigurationError(f"{context}: {exc}") from None
 
 
-def _check_capacity(prio: PrioritizerConfig, batch_size: int, context: str) -> None:
-    """Reject a selection window or pool that could never hold one batch."""
-    if prio.kind in ("sb_loss", "sb_entropy"):
-        name, capacity = "histogram_capacity", prio.histogram_capacity
-    elif prio.kind == "vr" and prio.pool_capacity is not None:
-        name, capacity = "pool_capacity", prio.pool_capacity
-    else:
-        return
-    if capacity < batch_size:
-        raise ConfigurationError(
-            f"{context}: {name} {capacity} smaller than batch_size {batch_size}"
-        )
+def _sections(raw: dict, context: str, **classes) -> dict:
+    """raw with each nested section present built into its class."""
+    return {key: _build(classes[key], value, f"{context}.{key}") if key in classes else value
+            for key, value in raw.items()}
+
+
+def _check_selector(prio: PrioritizerConfig, batch_size: int, context: str) -> None:
+    """Build the selector once, so its constructor rejects what no run could use;
+    at seed 0, since runs add their seed to prio.seed, which alone may be < 0."""
+    try:
+        make_prioritizer(replace(prio, seed=0), batch_size)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{context}: {exc}") from None
 
 
 def _parse_json(path) -> dict:
@@ -187,47 +191,23 @@ def _parse_json(path) -> dict:
 
 
 def experiment_config_from_dict(raw: dict, context: str = "config") -> ExperimentConfig:
-    raw = dict(raw)
-    parts = {}
-    if "dataset" in raw:
-        parts["dataset"] = _build(DatasetConfig, raw.pop("dataset"), f"{context}.dataset")
-    if "corruption" in raw:
-        parts["corruption"] = _build(
-            CorruptionSpec, raw.pop("corruption"), f"{context}.corruption"
-        )
-    if "trainer" in raw:
-        parts["trainer"] = _build(TrainerConfig, raw.pop("trainer"), f"{context}.trainer")
-    if "prioritizer" in raw:
-        parts["prioritizer"] = _build(
-            PrioritizerConfig, raw.pop("prioritizer"), f"{context}.prioritizer"
-        )
-    parts.update(raw)
+    parts = _sections(raw, context, dataset=DatasetConfig, corruption=CorruptionSpec,
+                      trainer=TrainerConfig, prioritizer=PrioritizerConfig)
     cfg = _build(ExperimentConfig, parts, context)
-    _check_capacity(cfg.prioritizer, cfg.trainer.batch_size, f"{context}.prioritizer")
+    _check_selector(cfg.prioritizer, cfg.trainer.batch_size, f"{context}.prioritizer")
     return cfg
 
 
 def benchmark_config_from_dict(raw: dict, context: str = "config") -> BenchmarkConfig:
-    raw = dict(raw)
-    parts = {}
-    if "dataset" in raw:
-        parts["dataset"] = _build(DatasetConfig, raw.pop("dataset"), f"{context}.dataset")
-    if "trainer" in raw:
-        parts["trainer"] = _build(TrainerConfig, raw.pop("trainer"), f"{context}.trainer")
-    if "variants" in raw:
-        variants = raw.pop("variants")
-        if not isinstance(variants, list):
-            raise ConfigurationError(f"{context}.variants: expected a list")
-        parts["variants"] = tuple(
-            _build(PrioritizerConfig, v, f"{context}.variants[{i}]")
-            for i, v in enumerate(variants)
-        )
-    if not isinstance(raw.get("corruption_grid", []), list):
-        raise ConfigurationError(f"{context}.corruption_grid: expected a list")
-    parts.update(raw)
+    for name in ("variants", "corruption_grid"):
+        if not isinstance(raw.get(name, []), list):
+            raise ConfigurationError(f"{context}.{name}: expected a list")
+    parts = _sections(raw, context, dataset=DatasetConfig, trainer=TrainerConfig)
+    parts["variants"] = tuple(_build(PrioritizerConfig, v, f"{context}.variants[{i}]")
+                              for i, v in enumerate(raw.get("variants", [])))
     cfg = _build(BenchmarkConfig, parts, context)
     for i, variant in enumerate(cfg.variants):
-        _check_capacity(variant, cfg.trainer.batch_size, f"{context}.variants[{i}]")
+        _check_selector(variant, cfg.trainer.batch_size, f"{context}.variants[{i}]")
     return cfg
 
 

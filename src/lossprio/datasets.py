@@ -118,6 +118,21 @@ class CorruptionSpec:
             raise ConfigurationError("corruption kind 'none' requires fraction 0")
 
 
+def check_synthetic(split_sizes: dict, num_classes, feature_dim, cluster_spread) -> None:
+    """Reject a synthetic task with fewer than 2 classes or features, a split
+    (split_sizes maps field names to sizes) without one example per class, or
+    a spread that is not positive."""
+    if num_classes < 2:
+        raise ConfigurationError(f"num_classes {num_classes}: need at least 2 classes")
+    if feature_dim < 2:
+        raise ConfigurationError(f"feature_dim {feature_dim}: need at least 2 features")
+    for name, size in split_sizes.items():
+        if size < num_classes:
+            raise ConfigurationError(f"{name} {size} smaller than num_classes {num_classes}")
+    if not cluster_spread > 0:
+        raise ConfigurationError(f"cluster_spread {cluster_spread}: must be positive")
+
+
 def generate_synthetic(
     num_examples: int,
     num_classes: int,
@@ -132,12 +147,7 @@ def generate_synthetic(
     (so counts are balanced within one), and each example is its class mean
     plus isotropic noise of scale cluster_spread.
     """
-    if num_classes < 2:
-        raise ConfigurationError("need at least 2 classes")
-    if feature_dim < 2:
-        raise ConfigurationError("need at least 2 feature dimensions")
-    if num_examples < num_classes:
-        raise ConfigurationError("need at least one example per class")
+    check_synthetic({"num_examples": num_examples}, num_classes, feature_dim, cluster_spread)
     feats, labels = _synthetic_arrays(
         num_examples, num_classes, feature_dim, seed, cluster_spread
     )
@@ -159,8 +169,8 @@ def generate_synthetic_pair(
     as apply_corruption would apply it to the clean train split, so no clean
     copy of the train features is ever held beside the corrupted one.
     """
-    if num_train < num_classes or num_test < num_classes:
-        raise ConfigurationError("need at least one example per class in each split")
+    check_synthetic({"num_train": num_train, "num_test": num_test},
+                    num_classes, feature_dim, cluster_spread)
     feats, labels = _synthetic_arrays(
         num_train + num_test, num_classes, feature_dim, seed, cluster_spread
     )
@@ -179,8 +189,6 @@ def _row_chunks(num_rows: int, feature_dim: int):
 
 def _synthetic_arrays(num_examples, num_classes, feature_dim, seed, cluster_spread):
     """means[labels] + cluster_spread * noise, formed in the noise array itself."""
-    if cluster_spread <= 0:
-        raise ConfigurationError("cluster_spread must be positive")
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(num_classes, feature_dim))
     labels = np.arange(num_examples, dtype=np.int64) % num_classes

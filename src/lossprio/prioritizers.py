@@ -284,7 +284,7 @@ class SelectiveBackpropPrioritizer(Prioritizer):
         if histogram_capacity < batch_size:
             # the window could never hold a batch, so warm-up would never end
             raise ConfigurationError(
-                f"histogram capacity {histogram_capacity} smaller than batch size {batch_size}"
+                f"histogram_capacity {histogram_capacity} smaller than batch_size {batch_size}"
             )
         self.beta = beta
         self.kind = kind
@@ -344,7 +344,7 @@ class PoolImportancePrioritizer(Prioritizer):
         capacity = 3 * batch_size if pool_capacity is None else pool_capacity
         if capacity < batch_size:
             raise ConfigurationError(
-                f"pool capacity {capacity} smaller than batch size {batch_size}"
+                f"pool_capacity {capacity} smaller than batch_size {batch_size}"
             )
         self.pool = SamplingPool(capacity, gate_threshold)
 

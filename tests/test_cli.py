@@ -3,6 +3,7 @@
 import hashlib
 import json
 import multiprocessing.process
+import os
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import lossprio
-from lossprio import selftest
+from lossprio import cli, selftest
 from lossprio.cli import _format_speedup, _parse_seeds, main
 from lossprio.errors import ConfigurationError
 
@@ -408,6 +409,21 @@ class TestRunsAcrossProcesses:
         for seed in (1, 2):
             run = json.loads((out / f"seed_{seed}" / "run.json").read_text())
             assert run == {"seed": seed, "status": "diverged"}
+
+    def test_worker_that_dies_exits_one_without_a_traceback(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # used to raise BrokenProcessPool out of main
+        class DyingJob(cli._Job):
+            def __reduce__(self):  # unpickled in the worker, this ends it
+                return os._exit, (3,)
+
+        monkeypatch.setattr(cli, "_Job", DyingJob)
+        monkeypatch.setattr(Future, "cancel", lambda self: False)
+        cfg = write_config(tmp_path, SMALL_EXPERIMENT)  # two seeds
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died before returning its runs ("), err
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

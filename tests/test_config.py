@@ -76,7 +76,7 @@ class TestExperimentParsing:
             ("benchmark", {"corruption_grid": [["gaussian", 0.5, 1]]}, r"corruption_grid\[0\]"),
             ("benchmark", {"corruption_grid": [["salt", 0.5]]},
              r"corruption_grid\[0\] = \['salt', 0.5\]: kind: unknown corruption kind 'salt'"),
-            ("benchmark", {"seeds": ["a"]}, r"seeds\[0\] = 'a'"),
+            ("benchmark", {"seeds": ["a"]}, r"json: seeds\[0\]: expected int, got 'a'"),
             ("benchmark", {"dataset": {"num_train": "5000"}}, r"\.dataset: num_train"),
             ("benchmark", {"dataset": {"type": "idx", "train_images": 5, "test_images": 6}},
              r"\.dataset: train_images: expected str \| None, got 5"),
@@ -85,6 +85,32 @@ class TestExperimentParsing:
             ("train", {"corruption": {"kind": None}},
              r"\.corruption: kind: unknown corruption kind None"),
             ("train", {"output_dir": 5}, r"json: output_dir: expected str \| None, got 5"),
+            # list entries used to pass unchecked: [1.5] and [true] ran as seed 1,
+            # hidden_layers [16.5] trained 16 units
+            ("train", {"seeds": [1.5]}, r"json: seeds\[0\]: expected int, got 1.5"),
+            ("benchmark", {"seeds": [2, True]}, r"json: seeds\[1\]: expected int, got True"),
+            ("train", {"trainer": {"hidden_layers": [16.5]}},
+             r"json\.trainer: hidden_layers\[0\]: expected int, got 16.5"),
+            ("train", {"trainer": {"hidden_layers": ["16"]}},
+             r"json\.trainer: hidden_layers\[0\]: expected int, got '16'"),
+            ("train", {"trainer": {"hidden_layers": 16}},
+             r"json\.trainer: hidden_layers: expected a list, got 16"),
+            ("benchmark", {"trainer": {"lr_drop_points": [0.5, "0.8"]}},
+             r"json\.trainer: lr_drop_points\[1\]: expected float, got '0.8'"),
+            # synthetic tasks the generators cannot draw or a model cannot learn:
+            # num_classes 0 used to die in a traceback, 1 class or 1 feature to
+            # train, and a short split or a zero spread to fail unlocated after
+            # resolved_config.json was written
+            ("train", {"dataset": {"num_classes": 0}},
+             r"json\.dataset: num_classes 0: need at least 2 classes\n\Z"),
+            ("train", {"dataset": {"num_classes": 1}},
+             r"json\.dataset: num_classes 1: need at least 2 classes\n\Z"),
+            ("train", {"dataset": {"feature_dim": 1}},
+             r"json\.dataset: feature_dim 1: need at least 2 features\n\Z"),
+            ("train", {"dataset": {"num_train": 5}},
+             r"json\.dataset: num_train 5 smaller than num_classes 10\n\Z"),
+            ("benchmark", {"dataset": {"cluster_spread": 0}},
+             r"json\.dataset: cluster_spread 0: must be positive\n\Z"),
         ],
     )
     def test_malformed_config_exits_two_with_location(self, tmp_path, capsys, command, raw,
@@ -172,14 +198,15 @@ class TestConfigFiles:
 seeds = st.integers(0, 2**32)
 seed_lists = st.lists(seeds, min_size=1, max_size=4, unique=True)
 paths = st.none() | st.text(max_size=20)
-datasets = st.builds(
+# Datasets with at least one example per class in each split.
+datasets = st.integers(2, 1000).flatmap(lambda classes: st.builds(
     DatasetConfig, type=st.sampled_from(["synthetic", "idx"]),
-    num_train=st.integers(1, 10**6), num_test=st.integers(1, 10**6),
-    num_classes=st.integers(2, 1000), feature_dim=st.integers(2, 10**4), seed=seeds,
+    num_train=st.integers(classes, 10**6), num_test=st.integers(classes, 10**6),
+    num_classes=st.just(classes), feature_dim=st.integers(2, 10**4), seed=seeds,
     cluster_spread=st.floats(0.01, 100.0), train_images=st.text(max_size=20),
     train_labels=paths, test_images=st.text(max_size=20), test_labels=paths,
     limit=st.none() | st.integers(1, 10**6),
-)
+))
 corruptions = st.builds(CorruptionSpec, seed=seeds) | st.builds(
     CorruptionSpec, kind=st.sampled_from(list(CorruptionKind)[1:]),
     fraction=st.floats(0.0, 1.0), seed=seeds,

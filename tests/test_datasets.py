@@ -77,6 +77,16 @@ class TestSyntheticGeneration:
         with pytest.raises(ConfigurationError):
             generate_synthetic(num, classes, dim, seed=0)
 
+    @pytest.mark.parametrize(
+        "classes, dim, message",
+        [(1, 8, "num_classes 1: need at least 2 classes"),
+         (4, 1, "feature_dim 1: need at least 2 features")],
+    )
+    def test_pair_bad_dimensions_rejected(self, classes, dim, message):
+        # the pair, which the command line builds from, used to accept both
+        with pytest.raises(ConfigurationError, match=message):
+            generate_synthetic_pair(100, 20, classes, dim, seed=0)
+
 
 def _write_idx(tmp_path, count=100, rows=28, cols=28, magic=2051, truncate=0,
                label_count=None, label_magic=2049):

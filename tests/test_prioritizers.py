@@ -499,7 +499,7 @@ def test_insert_many_matches_the_reference(capacity, scores, cuts):
 
 def test_histogram_smaller_than_batch_rejected():
     # the window could never hold a batch: warm-up would admit every example
-    with pytest.raises(ConfigurationError, match="histogram capacity 64 smaller than batch size 128"):
+    with pytest.raises(ConfigurationError, match="histogram_capacity 64 smaller than batch_size 128"):
         SelectiveBackpropPrioritizer(batch_size=128, seed=0, beta=1.0, histogram_capacity=64)
     with pytest.raises(ConfigurationError, match="capacity 64"):
         make_prioritizer(PrioritizerConfig(kind="sb_entropy", histogram_capacity=64), 128)
