@@ -5,7 +5,6 @@ from .datasets import (
     CorruptionSpec,
     Dataset,
     apply_corruption,
-    generate_synthetic,
     generate_synthetic_pair,
     load_idx_images,
 )
@@ -20,7 +19,6 @@ from .harness import (
     SpeedupReport,
     aggregate_seeds,
     compute_speedup,
-    rank_pick_frequencies,
     run_training,
 )
 from .model import ModelParams, TrainerConfig, forward, init_params
@@ -43,11 +41,9 @@ __all__ = [
     "apply_corruption",
     "compute_speedup",
     "forward",
-    "generate_synthetic",
     "generate_synthetic_pair",
     "init_params",
     "load_idx_images",
     "make_prioritizer",
-    "rank_pick_frequencies",
     "run_training",
 ]

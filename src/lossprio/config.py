@@ -39,16 +39,30 @@ def _convert_each(name: str, convert, values) -> tuple:
     return tuple(out)
 
 
+def _seed(value) -> int:
+    seed = int(value)
+    if seed < 0:  # numpy's generators take no negative seed
+        raise ValueError("must be nonnegative")
+    return seed
+
+
 def _seed_tuple(values) -> tuple[int, ...]:
-    """A nonempty tuple of distinct integer seeds: a repeated seed would write
-    one run directory from two runs and count twice in the aggregates."""
-    seeds = _convert_each("seeds", int, values)
+    """A nonempty tuple of distinct nonnegative seeds: a repeated seed would
+    write one run directory from two runs and count twice in the aggregates."""
+    seeds = _convert_each("seeds", _seed, values)
     if not seeds:
         raise ConfigurationError("seeds must not be empty")
     repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
     if repeated is not None:
         raise ConfigurationError(f"seeds list seed {repeated} twice")
     return seeds
+
+
+def _check_selector_seed(name: str, prio: PrioritizerConfig, seeds) -> None:
+    """Each run seeds its selector with prio.seed plus the run's own seed."""
+    low = min(seeds)
+    if prio.seed + low < 0:
+        raise ConfigurationError(f"{name}.seed {prio.seed} plus run seed {low} is negative")
 
 
 def _grid_cell(cell) -> tuple[str, float]:
@@ -87,6 +101,8 @@ class DatasetConfig:
             raise ConfigurationError(f"unknown dataset type {self.type!r}")
         if self.type == "idx" and (self.train_images is None or self.test_images is None):
             raise ConfigurationError("idx datasets need train_images and test_images paths")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed {self.seed}: must be nonnegative")
         if self.type == "synthetic":
             check_synthetic({"num_train": self.num_train, "num_test": self.num_test},
                             self.num_classes, self.feature_dim, self.cluster_spread)
@@ -106,6 +122,7 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", _seed_tuple(self.seeds))
         if self.eval_every < 1:
             raise ConfigurationError("eval_every must be positive")
+        _check_selector_seed("prioritizer", self.prioritizer, self.seeds)
 
 
 @dataclass
@@ -128,6 +145,9 @@ class BenchmarkConfig:
         object.__setattr__(self, "corruption_grid", grid)
         if not grid:
             raise ConfigurationError("corruption_grid must not be empty")
+        if self.corruption_seed < 0:
+            raise ConfigurationError(f"corruption_seed {self.corruption_seed}: "
+                                     "must be nonnegative")
         if self.eval_every < 1:
             raise ConfigurationError("eval_every must be positive")
         if not self.variants:  # one of each kind, at its defaults
@@ -136,6 +156,8 @@ class BenchmarkConfig:
         repeated = next((x for i, x in enumerate(labels) if x in labels[:i]), None)
         if repeated is not None:  # both would write one run directory
             raise ConfigurationError(f"variants: two variants are labelled {repeated}")
+        for i, variant in enumerate(self.variants):
+            _check_selector_seed(f"variants[{i}]", variant, self.seeds)
 
 
 def _build(cls, raw: dict, context: str):

@@ -116,6 +116,8 @@ class CorruptionSpec:
             raise ConfigurationError(f"corruption fraction {self.fraction} outside [0, 1]")
         if kind is CorruptionKind.NONE and self.fraction > 0.0:
             raise ConfigurationError("corruption kind 'none' requires fraction 0")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed {self.seed}: must be nonnegative")
 
 
 def check_synthetic(split_sizes: dict, num_classes, feature_dim, cluster_spread) -> None:
@@ -133,27 +135,6 @@ def check_synthetic(split_sizes: dict, num_classes, feature_dim, cluster_spread)
         raise ConfigurationError(f"cluster_spread {cluster_spread}: must be positive")
 
 
-def generate_synthetic(
-    num_examples: int,
-    num_classes: int,
-    feature_dim: int,
-    seed: int,
-    cluster_spread: float = 2.0,
-    split: str = "train",
-) -> Dataset:
-    """Gaussian class clusters: separable but not trivially so.
-
-    Class means are drawn once from the seed, labels are assigned round-robin
-    (so counts are balanced within one), and each example is its class mean
-    plus isotropic noise of scale cluster_spread.
-    """
-    check_synthetic({"num_examples": num_examples}, num_classes, feature_dim, cluster_spread)
-    feats, labels = _synthetic_arrays(
-        num_examples, num_classes, feature_dim, seed, cluster_spread
-    )
-    return Dataset(feats, labels, num_classes, split)
-
-
 def generate_synthetic_pair(
     num_train: int,
     num_test: int,
@@ -163,7 +144,9 @@ def generate_synthetic_pair(
     cluster_spread: float = 2.0,
     corruption: CorruptionSpec | None = None,
 ) -> tuple[Dataset, Dataset]:
-    """Train and test splits drawn from the same class means and noise scale.
+    """Train and test splits, in one draw, of Gaussian class clusters: each
+    example is its class mean (drawn once from the seed) plus isotropic noise
+    of scale cluster_spread, and labels go round-robin, balanced within one.
 
     A corruption is applied to the freshly drawn train rows in place, exactly
     as apply_corruption would apply it to the clean train split, so no clean
@@ -288,8 +271,6 @@ def load_idx_images(
 
 def make_task_permutation(feature_dim: int, seed: int) -> np.ndarray:
     """The single feature permutation shared by every shuffled example in a task."""
-    if feature_dim < 1:
-        raise ConfigurationError("feature_dim must be positive")
     return np.random.default_rng(seed).permutation(feature_dim)
 
 

@@ -35,9 +35,10 @@ METRICS_HEADER = ["iteration", "backprops", "test_error", "corrupted_frac_batch"
 EVAL_CHUNK = 4096  # test rows per evaluation forward
 
 
-@dataclass
+@dataclass(eq=False)
 class RunMetrics:
-    """Everything one training run produced, keyed by emitted-batch index."""
+    """Everything one training run produced: series keyed by emitted-batch
+    index, and picks, how often each train row was trained on."""
 
     seed: int
     backprops_series: list[int] = field(default_factory=list)
@@ -45,7 +46,7 @@ class RunMetrics:
     gate_on_series: list[int] | None = None
     eval_iterations: list[int] = field(default_factory=list)
     eval_errors: list[float] = field(default_factory=list)
-    pick_counts: dict[int, int] = field(default_factory=dict)
+    picks: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     diverged: bool = False
 
     @property
@@ -135,8 +136,8 @@ def run_training(
     metrics = RunMetrics(
         seed=trainer_cfg.seed,
         gate_on_series=[] if prio_cfg.kind == "vr" else None,
+        picks=np.zeros(len(train), dtype=np.int64),
     )
-    picks = np.zeros(len(train), dtype=np.int64)
     next_eval = eval_every
     batches_per_epoch = len(train) // batch
 
@@ -161,7 +162,7 @@ def run_training(
                 for chosen, gate_on in prio.feed(rows, losses, probabilities):
                     sgd_step(params, *workspace.gather(feats, labels, chosen),
                              trainer_cfg, state, lr, workspace)
-                    np.add.at(picks, chosen, 1)
+                    np.add.at(metrics.picks, chosen, 1)
                     metrics.backprops_series.append(state.backprops)
                     metrics.corrupted_frac_series.append(float(mask[chosen].mean()))
                     if gate_on is not None:
@@ -178,7 +179,6 @@ def run_training(
     except TrainingDivergedError:
         metrics.diverged = True
 
-    metrics.pick_counts = dict(enumerate(picks.tolist()))
     if checkpoint_path is not None:
         save_checkpoint(params, checkpoint_path)
     return metrics
@@ -236,19 +236,6 @@ def compute_speedup(baseline, method, slack: float = 1.2) -> SpeedupReport:
         speedup=None if method_cross is None else base_cross / method_cross,
         best_error=method.best_test_error,
     )
-
-
-def rank_pick_frequencies(metrics: RunMetrics, population_ids, top_n: int):
-    """Most- and least-picked ids within a population, ties broken by id."""
-    population = [int(i) for i in population_ids]
-    if top_n < 1 or top_n > len(population):
-        raise ConfigurationError(
-            f"top_n {top_n} outside [1, {len(population)}]"
-        )
-    counts = [(i, metrics.pick_counts.get(i, 0)) for i in population]
-    most = sorted(counts, key=lambda item: (-item[1], item[0]))[:top_n]
-    least = sorted(counts, key=lambda item: (item[1], item[0]))[:top_n]
-    return most, least
 
 
 @dataclass
@@ -322,11 +309,9 @@ def write_metrics_csv(metrics: RunMetrics, path) -> None:
 
 
 def write_picks_csv(metrics: RunMetrics, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "picks"])
-        for example_id in sorted(metrics.pick_counts):
-            writer.writerow([example_id, metrics.pick_counts[example_id]])
+    """One row per train example: its id and how often it was trained on."""
+    rows = "".join(f"{i},{n}\n" for i, n in enumerate(metrics.picks.tolist()))
+    Path(path).write_text("id,picks\n" + rows, newline="")
 
 
 def save_run(metrics: RunMetrics, run_dir) -> None:

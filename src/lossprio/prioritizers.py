@@ -77,8 +77,6 @@ class ScoreHistogram:
     """
 
     def __init__(self, capacity: int = DEFAULT_HISTOGRAM_CAPACITY):
-        if capacity < 1:
-            raise ConfigurationError("histogram capacity must be positive")
         self.capacity = capacity
         self._buf = np.empty(capacity, dtype=np.float64)
         self._size = 0
@@ -130,8 +128,6 @@ class ScoreHistogram:
 
 def expected_selection_fraction(beta: float) -> float:
     """Long-run admitted fraction for rank-power selection: 1 / (beta + 1)."""
-    if beta < 0:
-        raise ConfigurationError("beta must be nonnegative")
     return 1.0 / (beta + 1.0)
 
 
@@ -146,10 +142,6 @@ class SamplingPool:
     """
 
     def __init__(self, capacity: int, gate_threshold: float = 0.0):
-        if capacity < 1:
-            raise ConfigurationError("pool capacity must be positive")
-        if gate_threshold < 0:
-            raise ConfigurationError("gate threshold must be nonnegative")
         self.capacity = capacity
         self.gate_threshold = gate_threshold
         self._ids = np.empty(capacity, dtype=np.int64)
@@ -164,13 +156,9 @@ class SamplingPool:
         return self._size >= self.capacity
 
     def extend(self, ids, losses) -> None:
-        """Append candidates in order; losses must be finite and nonnegative."""
-        losses = np.asarray(losses, dtype=np.float64)
-        if not np.isfinite(losses).all() or (losses < 0).any():
-            raise ConfigurationError(f"losses must be finite and nonnegative, got {losses}")
+        """Append candidates in order; losses must be finite and nonnegative
+        (feed checks them)."""
         lo, hi = self._size, self._size + len(losses)
-        if hi > self.capacity:
-            raise ConfigurationError(f"pool of capacity {self.capacity} cannot hold {hi}")
         self._ids[lo:hi] = ids
         self._losses[lo:hi] = losses
         self._size = hi
@@ -277,10 +265,6 @@ class SelectiveBackpropPrioritizer(Prioritizer):
         kind: str = "sb_loss",
     ):
         super().__init__(batch_size, seed)
-        if beta < 0:
-            raise ConfigurationError("beta must be nonnegative")
-        if kind not in ("sb_loss", "sb_entropy"):
-            raise ConfigurationError(f"unknown selective backprop kind {kind!r}")
         if histogram_capacity < batch_size:
             # the window could never hold a batch, so warm-up would never end
             raise ConfigurationError(

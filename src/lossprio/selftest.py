@@ -15,7 +15,7 @@ from .datasets import (
     CorruptionSpec,
     Dataset,
     apply_corruption,
-    generate_synthetic,
+    generate_synthetic_pair,
     make_task_permutation,
 )
 from .model import gradient_check, init_params
@@ -106,7 +106,7 @@ def check_corruptions() -> tuple[str, bool, str]:
     """apply_corruption's invariants, each kind on the same clean split."""
     problems = []
     seed = 31
-    clean = generate_synthetic(400, 4, 16, seed=3)
+    clean, _ = generate_synthetic_pair(400, 4, 4, 16, seed=3)
     out = {kind: apply_corruption(clean, CorruptionSpec(kind=kind, fraction=0.25, seed=seed))
            for kind in ("random_label", "shuffled_pixels", "gaussian")}
     rows = out["random_label"].corrupted_mask

@@ -111,6 +111,35 @@ class TestExperimentParsing:
              r"json\.dataset: num_train 5 smaller than num_classes 10\n\Z"),
             ("benchmark", {"dataset": {"cluster_spread": 0}},
              r"json\.dataset: cluster_spread 0: must be positive\n\Z"),
+            # negative seeds used to die in numpy's "expected non-negative
+            # integer" traceback, exit 1, after resolved_config.json was written
+            ("train", {"seeds": [-2]}, r"json: seeds\[0\] = -2: must be nonnegative\n\Z"),
+            ("benchmark", {"seeds": [1, -2]},
+             r"json: seeds\[1\] = -2: must be nonnegative\n\Z"),
+            ("train", {"dataset": {"seed": -1}},
+             r"json\.dataset: seed -1: must be nonnegative\n\Z"),
+            ("train", {"corruption": {"kind": "random_label", "fraction": 0.5, "seed": -3}},
+             r"json\.corruption: seed -3: must be nonnegative\n\Z"),
+            ("benchmark", {"corruption_seed": -1},
+             r"json: corruption_seed -1: must be nonnegative\n\Z"),
+            ("train", {"prioritizer": {"seed": -2}, "seeds": [3, 1]},
+             r"json: prioritizer\.seed -2 plus run seed 1 is negative\n\Z"),
+            ("benchmark", {"variants": [{"kind": "sb_loss", "seed": -5}], "seeds": [2]},
+             r"json: variants\[0\]\.seed -5 plus run seed 2 is negative\n\Z"),
+            # PrioritizerConfig is the only check of these; the selector
+            # classes below it no longer repeat them
+            ("train", {"prioritizer": {"histogram_capacity": 0}},
+             r"json\.prioritizer: histogram_capacity must be positive\n\Z"),
+            ("train", {"prioritizer": {"kind": "vr", "pool_capacity": 0}},
+             r"json\.prioritizer: pool_capacity must be positive\n\Z"),
+            ("train", {"prioritizer": {"kind": "vr", "gate_threshold": -1}},
+             r"json\.prioritizer: gate_threshold must be nonnegative\n\Z"),
+            ("benchmark", {"variants": [{"kind": "sb_loss", "histogram_capacity": 0}]},
+             r"json\.variants\[0\]: histogram_capacity must be positive\n\Z"),
+            ("benchmark", {"variants": [{"kind": "vr", "pool_capacity": 0}]},
+             r"json\.variants\[0\]: pool_capacity must be positive\n\Z"),
+            ("benchmark", {"variants": [{"kind": "vr", "gate_threshold": -1}]},
+             r"json\.variants\[0\]: gate_threshold must be nonnegative\n\Z"),
         ],
     )
     def test_malformed_config_exits_two_with_location(self, tmp_path, capsys, command, raw,
@@ -122,6 +151,28 @@ class TestExperimentParsing:
         assert err.startswith(f"error: {path}")
         assert re.search(where, err), err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, raw, flag, where",
+        [("train", {}, "-2", "--seed -2: seeds[0] = -2: must be nonnegative"),
+         ("benchmark", {}, "3,-1", "--seed 3,-1: seeds[1] = -1: must be nonnegative"),
+         ("train", {"prioritizer": {"seed": -3}, "seeds": [5]}, "2",
+          "--seed 2: prioritizer.seed -3 plus run seed 2 is negative")],
+    )
+    def test_negative_seed_flag_exits_two_naming_the_flag(self, tmp_path, capsys, command,
+                                                          raw, flag, where):
+        # the flag, not the file, is where these inputs are wrong
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert main([command, "--config", str(path), f"--seed={flag}", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {where}\n"
+        assert not out.exists()
+
+    def test_selector_seed_below_zero_loads_when_every_run_lifts_it(self):
+        # runs seed their selector with prioritizer.seed plus the run's seed
+        cfg = experiment_config_from_dict({"prioritizer": {"seed": -1}, "seeds": [1, 4]})
+        assert cfg.prioritizer.seed == -1
 
     @pytest.mark.parametrize(
         "field, value",

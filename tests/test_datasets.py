@@ -16,7 +16,6 @@ from lossprio.datasets import (
     CorruptionSpec,
     Dataset,
     apply_corruption,
-    generate_synthetic,
     generate_synthetic_pair,
     load_idx_images,
     make_task_permutation,
@@ -25,9 +24,14 @@ from lossprio.datasets import (
 from lossprio.errors import ConfigurationError, IngestionError
 
 
+def synthetic(num, classes, dim, seed, cluster_spread=2.0):
+    """A clean train split of num rows: the train half of the smallest pair."""
+    return generate_synthetic_pair(num, classes, classes, dim, seed, cluster_spread)[0]
+
+
 class TestSyntheticGeneration:
     def test_shape_and_balance(self):
-        ds = generate_synthetic(1000, 10, 32, seed=1)
+        ds = synthetic(1000, 10, 32, seed=1)
         assert len(ds) == 1000
         assert ds.feature_dim == 32
         counts = np.bincount(ds.stack()[1], minlength=10)
@@ -35,22 +39,22 @@ class TestSyntheticGeneration:
         assert ds.ids.tolist() == list(range(1000))
 
     def test_one_example_per_class(self):
-        ds = generate_synthetic(10, 10, 2, seed=4)
+        ds = synthetic(10, 10, 2, seed=4)
         assert sorted(ds.stack()[1].tolist()) == list(range(10))
 
     def test_deterministic(self):
-        a = generate_synthetic(200, 4, 8, seed=9)
-        b = generate_synthetic(200, 4, 8, seed=9)
+        a = synthetic(200, 4, 8, seed=9)
+        b = synthetic(200, 4, 8, seed=9)
         assert np.array_equal(a.stack()[0], b.stack()[0])
         assert np.array_equal(a.stack()[1], b.stack()[1])
-        c = generate_synthetic(200, 4, 8, seed=10)
+        c = synthetic(200, 4, 8, seed=10)
         assert not np.array_equal(a.stack()[0], c.stack()[0])
 
     def test_pair_shares_cluster_structure(self):
-        # the train prefix of a pair must equal the solo generation
+        # the train rows come first in the draw, so the test size cannot move them
         train, test = generate_synthetic_pair(300, 100, 5, 8, seed=2)
-        solo = generate_synthetic(300, 5, 8, seed=2)
-        assert np.array_equal(train.stack()[0], solo.stack()[0])
+        short = synthetic(300, 5, 8, seed=2)
+        assert np.array_equal(train.stack()[0], short.stack()[0])
         assert train.split == "train" and test.split == "test"
         assert len(test) == 100
 
@@ -65,7 +69,7 @@ class TestSyntheticGeneration:
         means = rng.normal(size=(classes, dim))
         labels = np.arange(num) % classes
         expected = means[labels] + spread * rng.standard_normal((num, dim))
-        ds = generate_synthetic(num, classes, dim, seed=12, cluster_spread=spread)
+        ds = synthetic(num, classes, dim, seed=12, cluster_spread=spread)
         assert ds.features.tobytes() == expected.tobytes()
         assert ds.labels.tolist() == labels.tolist()
 
@@ -75,7 +79,7 @@ class TestSyntheticGeneration:
     )
     def test_bad_dimensions_rejected(self, num, classes, dim):
         with pytest.raises(ConfigurationError):
-            generate_synthetic(num, classes, dim, seed=0)
+            synthetic(num, classes, dim, seed=0)
 
     @pytest.mark.parametrize(
         "classes, dim, message",
@@ -170,7 +174,7 @@ class TestRandomLabelCorruption:
     def test_keep_fraction_matches_binomial(self):
         # a corrupted example keeps its label with chance 1/K; with 500
         # corrupted and K=10 the keep count is Binomial(500, 0.1)
-        ds = generate_synthetic(1000, 10, 8, seed=5)
+        ds = synthetic(1000, 10, 8, seed=5)
         out = apply_corruption(
             ds, CorruptionSpec(kind="random_label", fraction=0.5, seed=11)
         )
@@ -220,24 +224,24 @@ class TestGaussianCorruption:
 
 class TestApplyCorruption:
     def test_zero_fraction_is_identity(self):
-        ds = generate_synthetic(100, 4, 8, seed=1)
+        ds = synthetic(100, 4, 8, seed=1)
         out = apply_corruption(ds, CorruptionSpec(kind="random_label", fraction=0.0, seed=5))
         assert not out.corrupted_mask.any()
 
     def test_exact_count_and_mask(self):
-        ds = generate_synthetic(1000, 4, 8, seed=2)
+        ds = synthetic(1000, 4, 8, seed=2)
         out = apply_corruption(ds, CorruptionSpec(kind="random_label", fraction=0.25, seed=5))
         assert int(out.corrupted_mask.sum()) == 250
         kinds = [CORRUPTION_KINDS[code] for code in out.kind_codes]
         assert out.corrupted_mask.tolist() == [k is CorruptionKind.RANDOM_LABEL for k in kinds]
 
     def test_floor_of_fraction(self):
-        ds = generate_synthetic(10, 4, 8, seed=2)
+        ds = synthetic(10, 4, 8, seed=2)
         out = apply_corruption(ds, CorruptionSpec(kind="gaussian", fraction=0.26, seed=5))
         assert int(out.corrupted_mask.sum()) == 2  # floor(2.6)
 
     def test_ids_stable_and_structure_kept(self):
-        ds = generate_synthetic(300, 4, 8, seed=3)
+        ds = synthetic(300, 4, 8, seed=3)
         out = apply_corruption(ds, CorruptionSpec(kind="shuffled_pixels", fraction=0.5, seed=6))
         assert out.ids.tolist() == ds.ids.tolist()
         assert out.num_classes == ds.num_classes
@@ -245,7 +249,7 @@ class TestApplyCorruption:
         assert len(out) == len(ds)
 
     def test_same_seed_same_index_set_across_kinds(self):
-        ds = generate_synthetic(400, 4, 8, seed=4)
+        ds = synthetic(400, 4, 8, seed=4)
         masks = []
         for kind in ("random_label", "shuffled_pixels", "gaussian"):
             out = apply_corruption(ds, CorruptionSpec(kind=kind, fraction=0.3, seed=17))
@@ -253,7 +257,7 @@ class TestApplyCorruption:
         assert masks[0] == masks[1] == masks[2]
 
     def test_single_permutation_shared_by_all_shuffled(self):
-        ds = generate_synthetic(200, 4, 16, seed=5)
+        ds = synthetic(200, 4, 16, seed=5)
         out = apply_corruption(ds, CorruptionSpec(kind="shuffled_pixels", fraction=0.5, seed=9))
         perm = make_task_permutation(16, seed=9)
         rows = out.corrupted_mask
@@ -262,14 +266,14 @@ class TestApplyCorruption:
     @pytest.mark.parametrize("kind", ["shuffled_pixels", "gaussian"])
     def test_untouched_examples_identical(self, kind):
         # feature corruptions keep every label, and every clean row
-        ds = generate_synthetic(200, 4, 8, seed=6)
+        ds = synthetic(200, 4, 8, seed=6)
         out = apply_corruption(ds, CorruptionSpec(kind=kind, fraction=0.4, seed=10))
         clean = ~out.corrupted_mask
         assert np.array_equal(out.features[clean], ds.features[clean])
         assert np.array_equal(out.labels, ds.labels)
 
     def test_deterministic(self):
-        ds = generate_synthetic(300, 4, 8, seed=7)
+        ds = synthetic(300, 4, 8, seed=7)
         spec = CorruptionSpec(kind="random_label", fraction=0.5, seed=20)
         a, b = apply_corruption(ds, spec), apply_corruption(ds, spec)
         assert np.array_equal(a.stack()[1], b.stack()[1])
@@ -278,7 +282,7 @@ class TestApplyCorruption:
     def test_matches_per_example_reference(self, kind):
         # the one-example transforms, applied row by row in ascending order with
         # one generator, are the reference the array version must equal exactly
-        ds = generate_synthetic(300, 7, 784, seed=12)
+        ds = synthetic(300, 7, 784, seed=12)
         spec = CorruptionSpec(kind=kind, fraction=0.5, seed=19)
         rng = np.random.default_rng(spec.seed)
         chosen = set(rng.choice(300, size=150, replace=False).tolist())
@@ -327,7 +331,7 @@ class TestDatasetValidation:
             Example(id=0, features=np.zeros(2), label=0, corrupted=True)
 
     def test_snapshot_csv(self, tmp_path):
-        ds = generate_synthetic(50, 4, 8, seed=8)
+        ds = synthetic(50, 4, 8, seed=8)
         out = apply_corruption(ds, CorruptionSpec(kind="gaussian", fraction=0.2, seed=3))
         path = tmp_path / "snap.csv"
         write_snapshot_csv(out, path)
@@ -389,7 +393,7 @@ def test_build_holds_no_second_copy_of_the_features():
 
 
 def test_apply_corruption_leaves_its_input_untouched():
-    ds = generate_synthetic(300, 4, 16, seed=2)
+    ds = synthetic(300, 4, 16, seed=2)
     before = [a.copy() for a in (ds.features, ds.labels, ds.kind_codes)]
     for kind in ("random_label", "shuffled_pixels", "gaussian"):
         out = apply_corruption(ds, CorruptionSpec(kind=kind, fraction=0.5, seed=3))

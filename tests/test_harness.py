@@ -23,7 +23,6 @@ from lossprio.harness import (
     aggregate_seeds,
     compute_speedup,
     evaluate_error,
-    rank_pick_frequencies,
     run_training,
     save_run,
     write_metrics_csv,
@@ -62,7 +61,8 @@ class TestRunTraining:
         # 400 // 32 = 12 full batches per epoch, partial remainder skipped
         assert metrics.num_iterations == 12 * 3
         assert metrics.total_backprops == 12 * 3 * 32
-        assert sum(metrics.pick_counts.values()) == metrics.total_backprops
+        assert metrics.picks.dtype == np.int64 and len(metrics.picks) == len(train)
+        assert metrics.picks.sum() == metrics.total_backprops
         steps = np.diff([0, *metrics.backprops_series])
         assert (steps == 32).all()
         assert metrics.best_test_error == min(metrics.eval_errors)
@@ -132,7 +132,7 @@ class TestRunTraining:
         assert logs[0] == logs[1]
         assert runs[0].backprops_series == runs[1].backprops_series
         assert runs[0].eval_errors == runs[1].eval_errors
-        assert runs[0].pick_counts == runs[1].pick_counts
+        assert np.array_equal(runs[0].picks, runs[1].picks)
 
     def test_checkpoint_written_when_requested(self, tmp_path):
         train, test = tiny_pair()
@@ -258,28 +258,6 @@ class TestComputeSpeedup:
             compute_speedup(baseline, baseline)
 
 
-class TestRankPickFrequencies:
-    def make_metrics(self):
-        return RunMetrics(seed=0, pick_counts={1: 5, 2: 9, 3: 5, 4: 0})
-
-    def test_ties_break_by_ascending_id(self):
-        most, least = rank_pick_frequencies(self.make_metrics(), [1, 2, 3, 4], 2)
-        assert most == [(2, 9), (1, 5)]
-        assert least == [(4, 0), (1, 5)]
-
-    def test_ids_outside_counts_score_zero(self):
-        most, least = rank_pick_frequencies(self.make_metrics(), [2, 7, 9], 2)
-        assert most == [(2, 9), (7, 0)]
-        assert least == [(7, 0), (9, 0)]
-
-    def test_top_n_bounds(self):
-        metrics = self.make_metrics()
-        with pytest.raises(ConfigurationError):
-            rank_pick_frequencies(metrics, [1, 2], 0)
-        with pytest.raises(ConfigurationError):
-            rank_pick_frequencies(metrics, [1, 2], 3)
-
-
 def make_run(seed, eval_errors, eval_every=64, batch=32, fracs=None):
     """Synthesize a run whose evals land on the standard every-other-batch grid."""
     n_iter = 2 * len(eval_errors)
@@ -288,7 +266,7 @@ def make_run(seed, eval_errors, eval_every=64, batch=32, fracs=None):
     metrics.corrupted_frac_series = list(fracs) if fracs else [0.0] * n_iter
     metrics.eval_iterations = list(range(1, n_iter, 2))
     metrics.eval_errors = list(eval_errors)
-    metrics.pick_counts = {i: 2 for i in range(batch)}
+    metrics.picks = np.full(batch, 2, dtype=np.int64)
     return metrics
 
 
@@ -400,7 +378,7 @@ class TestRunSerialization:
         assert saved == (tmp_path / "metrics.csv").read_bytes()
         header, *rows = read_csv(tmp_path / "seed_5" / "picks.csv")
         assert header == ["id", "picks"]
-        assert {int(i): int(n) for i, n in rows} == metrics.pick_counts
+        assert rows == [[str(i), str(n)] for i, n in enumerate(metrics.picks)]
 
 
 # sha256 of json.dumps([batch_log, eval_errors, gate_on_series]) per variant,

@@ -63,8 +63,9 @@ class TestScoreHistogram:
             ReferenceHistogram(4).cdf(1.0)
 
     def test_bad_capacity_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ScoreHistogram(0)
+        # the window's owner is the config; ScoreHistogram trusts it
+        with pytest.raises(ConfigurationError, match="histogram_capacity must be positive"):
+            PrioritizerConfig(histogram_capacity=0)
 
 
 class TestSelectionProbability:
@@ -193,8 +194,11 @@ class TestSamplingPool:
             pool.draw(2, np.random.default_rng(0))
 
     def test_negative_loss_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SamplingPool(capacity=2).extend([0], [-1.0])
+        # feed checks every loss before the pool sees it
+        prio = PoolImportancePrioritizer(batch_size=2, seed=0)
+        with pytest.raises(ConfigurationError, match="finite and nonnegative"):
+            prio.feed(np.arange(2), np.array([1.0, -1.0]))
+        assert len(prio.pool) == 0
 
 
 def feed_stream(prio, scores, batch=None, start_id=0):

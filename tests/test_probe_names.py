@@ -1,8 +1,11 @@
-"""The names perfbench's span probes patch still exist and still get called.
+"""The names perfbench's span probes patch and its output checks read still
+exist and still get called.
 
 perfbench/layers.py patches lossprio by attribute name and wraps each
-prioritizer's ``feed``.  A rename there would otherwise surface only in a
-traced benchmark run (``perfbench/run.py --trace 1``).
+prioritizer's ``feed``; perfbench/worker.py's ``check_run`` reads
+``Dataset.ids``, ``RunMetrics`` fields and a selector config's ``kind`` and
+``beta``.  A rename there would otherwise surface only in a benchmark run
+(``perfbench/run.py``).
 """
 
 import sys
@@ -15,6 +18,7 @@ from lossprio.prioritizers import PRIORITIZER_KINDS, PrioritizerConfig
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import layers  # noqa: E402
+import worker  # noqa: E402
 
 
 def test_full_probe_traces_every_kinds_feed():
@@ -33,3 +37,13 @@ def test_full_probe_traces_every_kinds_feed():
         assert metrics[f"model.sgd_step_calls.{kind}"] > 0, kind
         assert metrics[f"harness.eval_calls.{kind}"] > 0, kind
     assert harness.make_prioritizer.__module__ == "lossprio.prioritizers"  # probe undone
+
+
+def test_runs_pass_perfbench_output_checks():
+    train, test = generate_synthetic_pair(4000, 200, num_classes=4, feature_dim=16, seed=2)
+    cfg = TrainerConfig(batch_size=16, total_epochs=2, hidden_layers=(16,), seed=0)
+    for kind in PRIORITIZER_KINDS:
+        prio = PrioritizerConfig(kind=kind, beta=1.0, seed=1)
+        log = []
+        metrics = harness.run_training(train, test, cfg, prio, batch_log=log)
+        assert worker.check_run(metrics, log, train, cfg, prio) == [], kind
