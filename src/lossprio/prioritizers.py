@@ -131,6 +131,13 @@ def expected_selection_fraction(beta: float) -> float:
     return 1.0 / (beta + 1.0)
 
 
+# Over k losses totalling S0 (floored where subnormals would round), a running
+# sum search and rng.choice's cdf each stay within (6k + 2 * batch_size + 4) *
+# 2**-53 * S0 of the exact cdf, to first order, so a pick more than _TIE_MARGIN *
+# k * S0 (over 600 times that) inside both ends of its interval is rng.choice's.
+_TIE_MARGIN, _TIE_FLOOR = 2.0**-40, 2.0**-960
+
+
 class SamplingPool:
     """Pool of (id, loss) candidates drawn down by weighted sampling.
 
@@ -175,31 +182,49 @@ class SamplingPool:
         """Remove and return batch_size distinct ids, plus the gate decision.
 
         Weighted draws are sequential: pick one id proportional to loss,
-        remove it, renormalize, repeat.  Each weighted pick is the search
-        ``rng.choice(k, p=losses / losses.sum())`` makes, over the pool
-        compacted after the previous pick, so it yields the same id from the
-        same stream.  Once only zero losses are left, picks are uniform.
+        remove it, renormalize, repeat.  Each weighted pick is the one
+        ``rng.choice(k, p=losses / losses.sum())`` makes from the same stream;
+        a search of a running loss sum finds it, recomputed as rng.choice does
+        near a tie.  Once only zero losses are left, picks are uniform.
         """
-        if batch_size > self._size:
-            raise ConfigurationError(f"cannot draw {batch_size} from a pool of {self._size}")
+        k = self._size
+        if batch_size > k:
+            raise ConfigurationError(f"cannot draw {batch_size} from a pool of {k}")
         gate_on = self.gate_statistic() > self.gate_threshold
-        picked = []
-        for _ in range(batch_size):
+        drawn = []
+        if gate_on:
+            losses, keep, picks = self._losses[:k], np.ones(k, dtype=bool), []
+            prefix = losses.cumsum()
+            margin = _TIE_MARGIN * k * max(float(prefix[-1]), _TIE_FLOOR)
+            # rng.choice refuses a sum that overflows; a power of two rescales it exactly
+            scale = 1.0 if prefix[-1] < np.inf else 2.0 ** -k.bit_length()
+            # each weighted pick takes one positive loss
+            for u in rng.random(min(batch_size, np.count_nonzero(losses))).tolist():
+                if picks:  # take the previous pick out of the running sum
+                    prefix[j:] -= losses[j]
+                x = u * prefix[-1]
+                j = int(prefix.searchsorted(x, "right"))
+                if not (j < k and x - (prefix[j - 1] if j else 0.0) > margin
+                        and prefix[j] - x > margin):
+                    live = np.flatnonzero(keep)
+                    w = losses[live] * scale
+                    cdf = (w / w.sum()).cumsum()
+                    j = int(live[(cdf / cdf[-1]).searchsorted(u, "right")])
+                picks.append(j)
+                keep[j] = False
+            drawn = self._ids[picks].tolist()
+            self._size = k - len(picks)
+            self._ids[: self._size] = self._ids[:k][keep]
+            self._losses[: self._size] = losses[keep]
+        while len(drawn) < batch_size:
             k = self._size
-            weights = self._losses[:k]
-            total = weights.sum() if gate_on else 0.0
-            if total > 0:
-                cdf = (weights / total).cumsum()
-                cdf /= cdf[-1]
-                j = int(cdf.searchsorted(rng.random(), side="right"))
-            else:
-                j = int(rng.integers(k))
-            picked.append(int(self._ids[j]))
-            # close the gap in place; the next pick sums the compacted array
+            j = int(rng.integers(k))
+            drawn.append(int(self._ids[j]))
+            # close the gap in place
             self._ids[j : k - 1] = self._ids[j + 1 : k]
             self._losses[j : k - 1] = self._losses[j + 1 : k]
             self._size = k - 1
-        return picked, gate_on
+        return drawn, gate_on
 
     def clear(self) -> None:
         self._size = 0

@@ -120,6 +120,30 @@ def pool_entries(pool: prioritizers.SamplingPool) -> list[tuple[int, float]]:
     return list(zip(pool._ids[:n].tolist(), pool._losses[:n].tolist()))
 
 
+def reference_pool_draw(entries, batch_size, threshold, rng):
+    """The per-pick definition ``SamplingPool.draw`` reproduces: one
+    ``rng.choice`` over the losses left per weighted pick.  It returns the
+    picked ids, the gate decision and the (id, loss) entries left.
+
+    rng.choice refuses a loss vector that is all zero or sums to infinity,
+    so the batch may not run past the positive losses of an open gate.
+    """
+    ids = [i for i, _ in entries]
+    losses = np.array([loss for _, loss in entries])
+    q = losses / losses.sum() if losses.sum() > 0 else None
+    gate_on = q is not None and len(q) * np.square(q - 1 / len(q)).sum() > threshold
+    remaining, picked = np.arange(len(ids)), []
+    for _ in range(batch_size):
+        if gate_on:
+            weights = losses[remaining]
+            j = rng.choice(len(remaining), p=weights / weights.sum())
+        else:
+            j = rng.integers(len(remaining))
+        picked.append(ids[remaining[j]])
+        remaining = np.delete(remaining, j)
+    return picked, gate_on, [entries[i] for i in remaining]
+
+
 def selection_probability(score: float, histogram: ReferenceHistogram, beta: float) -> float:
     """cdf(score) raised to beta; beta 0 admits everything."""
     if beta < 0:

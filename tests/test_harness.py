@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import statistics
 import sys
 from types import SimpleNamespace
@@ -10,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from lossprio import prioritizers
 from lossprio.config import build_datasets, experiment_config_from_dict
 from lossprio.datasets import (
     CorruptionSpec,
@@ -439,6 +441,26 @@ def test_final_parameters_match_pinned_hashes(tmp_path):
         run_training(train, test, tiny_trainer(), cfg, eval_every=64, checkpoint_path=path)
         got[name] = hashlib.sha256(load_checkpoint(path).vector.tobytes()).hexdigest()
     assert got == PINNED_FINAL_PARAMS
+
+
+def test_vr_pins_hold_with_every_pick_recomputed(monkeypatch, tmp_path):
+    # an infinite tie margin sends every weighted pick of the pool's draw to
+    # its exact recomputation, which must land on the same pinned bytes
+    train, test = tiny_pair(num_train=600)
+    train = apply_corruption(train, CorruptionSpec(kind="random_label", fraction=0.3, seed=7))
+    monkeypatch.setattr(prioritizers, "_TIE_MARGIN", math.inf)
+    recomputed = []  # only the recomputation calls flatnonzero during a vr run
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: recomputed.append(1) or flatnonzero(a))
+    cfg = PrioritizerConfig(kind="vr", pool_capacity=80, gate_threshold=0.05, seed=1)
+    log, path = [], tmp_path / "vr.npz"
+    metrics = run_training(train, test, tiny_trainer(), cfg, eval_every=64, batch_log=log,
+                           checkpoint_path=path)
+    blob = json.dumps([log, metrics.eval_errors, metrics.gate_on_series])
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED_SELECTION_STREAMS["vr"]
+    vector = load_checkpoint(path).vector
+    assert hashlib.sha256(vector.tobytes()).hexdigest() == PINNED_FINAL_PARAMS["vr"]
+    assert len(recomputed) == 32 * sum(metrics.gate_on_series)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_minflt is Linux-only")

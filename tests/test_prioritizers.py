@@ -1,5 +1,7 @@
 """Histogram, buffer, pool, and the four selection strategies."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from reference import (
     ReferenceHistogram,
     histogram_window,
     pool_entries,
+    reference_pool_draw,
     selection_probability,
 )
 from scipy import stats
@@ -435,22 +438,6 @@ class TestBatchedSelectionMatchesPerExample:
         assert prio.rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_pool_draw(self):
-        def reference(entries, batch_size, threshold, rng):
-            ids = [i for i, _ in entries]
-            losses = np.array([loss for _, loss in entries])
-            q = losses / losses.sum() if losses.sum() > 0 else None
-            gate_on = q is not None and len(q) * np.square(q - 1 / len(q)).sum() > threshold
-            remaining, picked = np.arange(len(ids)), []
-            for _ in range(batch_size):
-                if gate_on:
-                    weights = losses[remaining]
-                    j = rng.choice(len(remaining), p=weights / weights.sum())
-                else:
-                    j = rng.integers(len(remaining))
-                picked.append(ids[remaining[j]])
-                remaining = np.delete(remaining, j)
-            return picked, gate_on, [entries[i] for i in remaining]
-
         data = np.random.default_rng(21)
         gates = set()
         for trial in range(150):
@@ -465,7 +452,7 @@ class TestBatchedSelectionMatchesPerExample:
             seed = int(data.integers(1 << 30))
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             got = pool.draw(batch_size, rng)
-            picked, gate_on, rest = reference(entries, batch_size, threshold, ref_rng)
+            picked, gate_on, rest = reference_pool_draw(entries, batch_size, threshold, ref_rng)
             assert got == (picked, gate_on)
             assert pool_entries(pool) == rest
             assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -478,6 +465,73 @@ class TestBatchedSelectionMatchesPerExample:
         pool.extend(range(6), [0.0, 2.0, 0.0, 1.0, 0.0, 0.0])
         ids, gate_on = pool.draw(4, np.random.default_rng(0))
         assert gate_on and set(ids[:2]) == {1, 3} and len(set(ids)) == 4
+
+
+def expected_pool_draw(entries, batch_size, threshold, rng):
+    """reference_pool_draw, continued past the last positive loss of an open
+    gate by a second call with the gate shut: picks there are uniform."""
+    n = min(batch_size, sum(loss > 0 for _, loss in entries))
+    picked, gate_on, rest = reference_pool_draw(entries, n, threshold, rng)
+    more, _, rest = reference_pool_draw(rest, batch_size - n, math.inf, rng)
+    return picked + more, gate_on, rest
+
+
+def assert_pool_draw_matches(entries, batch_size, threshold, seed, scale=1.0):
+    """The pool's draw against expected_pool_draw over each loss times scale,
+    a power of two, from equal generators."""
+    pool = SamplingPool(capacity=len(entries), gate_threshold=threshold)
+    pool.extend(*zip(*entries))
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = pool.draw(batch_size, rng)
+    picked, gate_on, rest = expected_pool_draw([(i, loss * scale) for i, loss in entries],
+                                               batch_size, threshold, ref_rng)
+    assert got == (picked, gate_on)
+    assert pool_entries(pool) == [(i, loss / scale) for i, loss in rest]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.fixture
+def recomputed(monkeypatch):
+    """Counts the draw's exact recomputations: only they call flatnonzero."""
+    calls = []
+    flatnonzero = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or flatnonzero(a))
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(losses=st.integers(1, 400).flatmap(lambda n: st.lists(
+           st.sampled_from([0.0, 1.0, 2.5]) | st.floats(1e-12, 1e12), min_size=n, max_size=n)),
+       threshold=st.sampled_from([0.0, 0.3, 1e9]), data=st.data())
+def test_pool_draw_matches_the_reference(losses, threshold, data):
+    # zeros, exact ties and 24 decades of spread; the batch may run past the
+    # positive losses
+    batch_size = data.draw(st.integers(1, len(losses)), label="batch_size")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    ids = np.random.default_rng(seed).permutation(10 * len(losses))[: len(losses)].tolist()
+    assert_pool_draw_matches(list(zip(ids, losses)), batch_size, threshold, seed)
+
+
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+@pytest.mark.parametrize("seed", range(8))
+def test_pool_draw_recomputes_a_pick_near_a_tie(recomputed, seed, ulps):
+    # the first loss ends within an ulp of u * total for the first uniform
+    # u the draw takes, so no search of a running sum can be trusted with it
+    u = np.random.default_rng(seed).random()
+    head = u + ulps * np.spacing(u)
+    assert_pool_draw_matches([(10, head), (11, 1.0 - head), (12, 0.0)], 3, 0.0, seed)
+    assert recomputed
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_pool_draw_rescales_a_loss_sum_that_overflows(recomputed):
+    # rng.choice refuses such a sum; the draw is the reference's over the
+    # losses times 2 ** -3 (a pool of 5), every weighted pick recomputed
+    entries = list(zip(range(20, 25), [1e308, 3.0, 1e308, 0.0, 2.0]))
+    for seed in range(5):
+        recomputed.clear()
+        assert_pool_draw_matches(entries, 5, 0.0, seed, scale=2.0**-3)
+        assert len(recomputed) == 4
 
 
 @settings(max_examples=200, deadline=None)
