@@ -79,17 +79,16 @@ class RunMetrics:
         return "ok" if self.eval_errors else "no_eval"
 
 
-def evaluate_error(params, features, labels, chunk_size: int = EVAL_CHUNK,
-                   workspace: Workspace | None = None) -> float:
-    """Fraction of examples misclassified; a workspace must hold chunk_size
-    rows, and a call given none makes one."""
+def evaluate_error(params, features, labels, workspace: Workspace | None = None) -> float:
+    """Fraction of examples misclassified, EVAL_CHUNK rows per forward; a
+    workspace must hold that many rows, and a call given none makes one."""
     n = len(labels)
     if n == 0:
         raise ConfigurationError("cannot evaluate on an empty split")
-    workspace = workspace or Workspace(params, min(chunk_size, n))
+    workspace = workspace or Workspace(params, min(EVAL_CHUNK, n))
     wrong = 0
-    for start in range(0, n, chunk_size):
-        stop = min(start + chunk_size, n)
+    for start in range(0, n, EVAL_CHUNK):
+        stop = min(start + EVAL_CHUNK, n)
         result = forward(params, features[start:stop], labels[start:stop], workspace)
         wrong += int((result.predictions != labels[start:stop]).sum())
     return wrong / n

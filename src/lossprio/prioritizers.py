@@ -138,96 +138,59 @@ def expected_selection_fraction(beta: float) -> float:
 _TIE_MARGIN, _TIE_FLOOR = 2.0**-40, 2.0**-960
 
 
-class SamplingPool:
-    """Pool of (id, loss) candidates drawn down by weighted sampling.
-
-    Ids and losses are two fixed-capacity arrays in arrival order.  The gate
-    statistic is the squared L2 distance between the normalized loss
-    distribution and uniform, scaled by the pool size; above the threshold
-    the draw is loss-proportional, otherwise uniform.  All-zero losses
-    always fall back to uniform.
-    """
-
-    def __init__(self, capacity: int, gate_threshold: float = 0.0):
-        self.capacity = capacity
-        self.gate_threshold = gate_threshold
-        self._ids = np.empty(capacity, dtype=np.int64)
-        self._losses = np.empty(capacity, dtype=np.float64)
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    @property
-    def is_full(self) -> bool:
-        return self._size >= self.capacity
-
-    def extend(self, ids, losses) -> None:
-        """Append candidates in order; losses must be finite and nonnegative
-        (feed checks them)."""
-        lo, hi = self._size, self._size + len(losses)
-        self._ids[lo:hi] = ids
-        self._losses[lo:hi] = losses
-        self._size = hi
-
-    def gate_statistic(self) -> float:
-        losses = self._losses[: self._size]
+def gate_statistic(losses: np.ndarray) -> float:
+    """Squared L2 distance between the normalized losses and uniform, scaled
+    by their count: 0.0 for flat or all-zero losses.  A loss sum that
+    overflows is taken over the losses scaled by a power of two, as the draw
+    takes it."""
+    total = losses.sum()
+    if total == np.inf:
+        losses = losses * 2.0 ** -len(losses).bit_length()
         total = losses.sum()
-        if total <= 0:
-            return 0.0
-        q = losses / total
-        return float(len(q) * np.square(q - 1.0 / len(q)).sum())
+    if total <= 0:
+        return 0.0
+    q = losses / total
+    return float(len(q) * np.square(q - 1.0 / len(q)).sum())
 
-    def draw(self, batch_size: int, rng: np.random.Generator) -> tuple[list[int], bool]:
-        """Remove and return batch_size distinct ids, plus the gate decision.
 
-        Weighted draws are sequential: pick one id proportional to loss,
-        remove it, renormalize, repeat.  Each weighted pick is the one
-        ``rng.choice(k, p=losses / losses.sum())`` makes from the same stream;
-        a search of a running loss sum finds it, recomputed as rng.choice does
-        near a tie.  Once only zero losses are left, picks are uniform.
-        """
-        k = self._size
-        if batch_size > k:
-            raise ConfigurationError(f"cannot draw {batch_size} from a pool of {k}")
-        gate_on = self.gate_statistic() > self.gate_threshold
-        drawn = []
-        if gate_on:
-            losses, keep, picks = self._losses[:k], np.ones(k, dtype=bool), []
-            prefix = losses.cumsum()
-            margin = _TIE_MARGIN * k * max(float(prefix[-1]), _TIE_FLOOR)
-            # rng.choice refuses a sum that overflows; a power of two rescales it exactly
-            scale = 1.0 if prefix[-1] < np.inf else 2.0 ** -k.bit_length()
-            # each weighted pick takes one positive loss
-            for u in rng.random(min(batch_size, np.count_nonzero(losses))).tolist():
-                if picks:  # take the previous pick out of the running sum
-                    prefix[j:] -= losses[j]
-                x = u * prefix[-1]
-                j = int(prefix.searchsorted(x, "right"))
-                if not (j < k and x - (prefix[j - 1] if j else 0.0) > margin
-                        and prefix[j] - x > margin):
-                    live = np.flatnonzero(keep)
-                    w = losses[live] * scale
-                    cdf = (w / w.sum()).cumsum()
-                    j = int(live[(cdf / cdf[-1]).searchsorted(u, "right")])
-                picks.append(j)
-                keep[j] = False
-            drawn = self._ids[picks].tolist()
-            self._size = k - len(picks)
-            self._ids[: self._size] = self._ids[:k][keep]
-            self._losses[: self._size] = losses[keep]
-        while len(drawn) < batch_size:
-            k = self._size
-            j = int(rng.integers(k))
-            drawn.append(int(self._ids[j]))
-            # close the gap in place
-            self._ids[j : k - 1] = self._ids[j + 1 : k]
-            self._losses[j : k - 1] = self._losses[j + 1 : k]
-            self._size = k - 1
-        return drawn, gate_on
+def draw_from_pool(ids: np.ndarray, losses: np.ndarray, batch_size: int,
+                   gate_threshold: float, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
+    """Draw batch_size distinct ids from a full pool, plus the gate decision.
 
-    def clear(self) -> None:
-        self._size = 0
+    Above the threshold, weighted picks are sequential, each the one
+    ``rng.choice(k, p=losses / losses.sum())`` makes from the same stream over
+    the losses left: a search of a running loss sum finds it, recomputed as
+    rng.choice does near a tie.  Once only zero losses are left, or with the
+    gate shut, picks are uniform over the positions left.  The prioritizer
+    checks the losses and that the pool holds a batch.
+    """
+    k = len(losses)
+    gate_on = gate_statistic(losses) > gate_threshold
+    keep, picks = np.ones(k, dtype=bool), []
+    if gate_on:
+        prefix = losses.cumsum()
+        margin = _TIE_MARGIN * k * max(float(prefix[-1]), _TIE_FLOOR)
+        # rng.choice refuses a sum that overflows; a power of two rescales it exactly
+        scale = 1.0 if prefix[-1] < np.inf else 2.0 ** -k.bit_length()
+        # each weighted pick takes one positive loss
+        for u in rng.random(min(batch_size, np.count_nonzero(losses))).tolist():
+            if picks:  # take the previous pick out of the running sum
+                prefix[j:] -= losses[j]
+            x = u * prefix[-1]
+            j = int(prefix.searchsorted(x, "right"))
+            if not (j < k and x - (prefix[j - 1] if j else 0.0) > margin
+                    and prefix[j] - x > margin):
+                live = np.flatnonzero(keep)
+                w = losses[live] * scale
+                cdf = (w / w.sum()).cumsum()
+                j = int(live[(cdf / cdf[-1]).searchsorted(u, "right")])
+            picks.append(j)
+            keep[j] = False
+    if len(picks) < batch_size:
+        rest = np.arange(k)[keep].tolist()  # positions left, in pool order
+        while len(picks) < batch_size:
+            picks.append(rest.pop(int(rng.integers(len(rest)))))
+    return ids[picks], gate_on
 
 
 class Prioritizer:
@@ -350,12 +313,15 @@ class PoolImportancePrioritizer(Prioritizer):
         gate_threshold: float = 0.0,
     ):
         super().__init__(batch_size, seed)
-        capacity = 3 * batch_size if pool_capacity is None else pool_capacity
-        if capacity < batch_size:
+        self.capacity = 3 * batch_size if pool_capacity is None else pool_capacity
+        if self.capacity < batch_size:
             raise ConfigurationError(
-                f"pool_capacity {capacity} smaller than batch_size {batch_size}"
+                f"pool_capacity {self.capacity} smaller than batch_size {batch_size}"
             )
-        self.pool = SamplingPool(capacity, gate_threshold)
+        self.gate_threshold = gate_threshold
+        # candidates not yet in a full pool
+        self._ids = np.empty(0, dtype=np.int64)
+        self._losses = np.empty(0, dtype=np.float64)
 
     def feed(self, rows, losses=None, probabilities=None):
         if losses is None:
@@ -363,19 +329,17 @@ class PoolImportancePrioritizer(Prioritizer):
         losses = self._check_scores(losses)
         if len(losses) != len(rows):
             raise ConfigurationError("rows and losses must have equal length")
-        batches = []
-        lo = 0
-        while lo < len(losses):
-            hi = min(lo + self.pool.capacity - len(self.pool), len(losses))
-            self.pool.extend(rows[lo:hi], losses[lo:hi])
-            self.ingested += hi - lo
-            lo = hi
-            if self.pool.is_full:
-                drawn, gate_on = self.pool.draw(self.batch_size, self.rng)
-                self.pool.clear()  # undrawn candidates are dropped, not recycled
-                self.selected += len(drawn)
-                batches.append((np.array(drawn, dtype=np.int64), gate_on))
-        return batches
+        ids = np.concatenate((self._ids, rows))
+        pooled = np.concatenate((self._losses, losses))
+        cap = self.capacity
+        full = len(ids) - len(ids) % cap
+        self._ids, self._losses = ids[full:], pooled[full:]
+        self.ingested += len(losses)
+        self.selected += full // cap * self.batch_size
+        # undrawn candidates of each pool are dropped, not recycled
+        return [draw_from_pool(ids[lo : lo + cap], pooled[lo : lo + cap], self.batch_size,
+                               self.gate_threshold, self.rng)
+                for lo in range(0, full, cap)]
 
 
 def make_prioritizer(cfg: PrioritizerConfig, batch_size: int) -> Prioritizer:

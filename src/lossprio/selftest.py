@@ -21,7 +21,7 @@ from .datasets import (
 from .model import gradient_check, init_params
 from .prioritizers import (
     PrioritizerConfig,
-    SamplingPool,
+    draw_from_pool,
     expected_selection_fraction,
     make_prioritizer,
 )
@@ -77,16 +77,16 @@ def check_pool_gate() -> tuple[str, bool, str]:
     """Flat losses keep the gate closed and draw uniformly; planted 4:1 losses
     open it and draw in proportion.  Each drawn id goes straight back in."""
     halves = []
-    for losses, seed in (([1.0, 1.0, 1.0, 1.0], 17), ([4.0, 1.0], 19)):
-        pool = SamplingPool(capacity=len(losses), gate_threshold=0.0)
-        pool.extend(range(len(losses)), losses)
+    for losses, seed in ((np.ones(4), 17), (np.array([4.0, 1.0]), 19)):
+        ids = list(range(len(losses)))  # id i has loss losses[i]
         rng = np.random.default_rng(seed)
         counts, opened = np.zeros(len(losses)), 0
         for _ in range(DRAWS):
-            (i,), gate_on = pool.draw(1, rng)
+            (i,), gate_on = draw_from_pool(np.array(ids), losses[ids], 1, 0.0, rng)
             opened += gate_on
             counts[i] += 1
-            pool.extend([i], [losses[i]])
+            ids.remove(i)
+            ids.append(i)  # back in, at the end of the pool
         halves.append((counts, opened))
     (flat, flat_opened), (planted, planted_opened) = halves
     chi_uniform = chi_square(flat)

@@ -114,14 +114,13 @@ def histogram_window(histogram: prioritizers.ScoreHistogram) -> list[float]:
     return np.roll(histogram._buf, -histogram._next).tolist()
 
 
-def pool_entries(pool: prioritizers.SamplingPool) -> list[tuple[int, float]]:
-    """(id, loss) of each candidate in the pool, in pool order."""
-    n = len(pool)
-    return list(zip(pool._ids[:n].tolist(), pool._losses[:n].tolist()))
+def pool_entries(prio: prioritizers.PoolImportancePrioritizer) -> list[tuple[int, float]]:
+    """(id, loss) of each candidate waiting for a full pool, in arrival order."""
+    return list(zip(prio._ids.tolist(), prio._losses.tolist()))
 
 
 def reference_pool_draw(entries, batch_size, threshold, rng):
-    """The per-pick definition ``SamplingPool.draw`` reproduces: one
+    """The per-pick definition ``draw_from_pool`` reproduces: one
     ``rng.choice`` over the losses left per weighted pick.  It returns the
     picked ids, the gate decision and the (id, loss) entries left.
 

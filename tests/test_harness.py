@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lossprio import prioritizers
+from lossprio import harness, prioritizers
 from lossprio.config import build_datasets, experiment_config_from_dict
 from lossprio.datasets import (
     CorruptionSpec,
@@ -188,13 +188,14 @@ class TestEvaluateError:
         labels = np.array([0, 0, 1, 2, 1, 0])
         assert evaluate_error(params, feats, labels) == pytest.approx(0.5)
 
-    def test_chunking_does_not_change_result(self):
+    def test_chunking_does_not_change_result(self, monkeypatch):
         rng = np.random.default_rng(11)
         params = init_params([4, 3], 1)
         feats = rng.normal(size=(37, 4))
         labels = rng.integers(0, 3, size=37)
         full = evaluate_error(params, feats, labels)
-        chunked = evaluate_error(params, feats, labels, chunk_size=5)
+        monkeypatch.setattr(harness, "EVAL_CHUNK", 5)
+        chunked = evaluate_error(params, feats, labels)
         assert full == chunked
 
     def test_empty_split_rejected(self):

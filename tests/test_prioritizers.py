@@ -1,4 +1,4 @@
-"""Histogram, buffer, pool, and the four selection strategies."""
+"""Histogram, buffer, pool draw, and the four selection strategies."""
 
 import math
 
@@ -22,11 +22,12 @@ from lossprio.prioritizers import (
     PRIORITIZER_KINDS,
     PoolImportancePrioritizer,
     PrioritizerConfig,
-    SamplingPool,
     ScoreHistogram,
     SelectiveBackpropPrioritizer,
     UniformPrioritizer,
+    draw_from_pool,
     expected_selection_fraction,
+    gate_statistic,
     make_prioritizer,
 )
 
@@ -130,26 +131,29 @@ class TestCandidateBuffer:
         assert buf.drain() == [[0, 1], [2, 3], [4, 5]]
 
 
-class TestSamplingPool:
+class TestPoolDraw:
     def test_gate_statistic_hand_computed(self):
         # q = (0.75, 0.25); scaled squared distance to uniform is
         # 2 * ((0.25)^2 + (0.25)^2) = 0.25
-        pool = SamplingPool(capacity=2)
-        pool.extend([0, 1], [3.0, 1.0])
-        assert pool.gate_statistic() == pytest.approx(0.25, rel=1e-12)
+        assert gate_statistic(np.array([3.0, 1.0])) == pytest.approx(0.25, rel=1e-12)
 
     def test_uniform_losses_have_zero_statistic(self):
-        pool = SamplingPool(capacity=4)
-        pool.extend(range(4), [2.5] * 4)
-        assert pool.gate_statistic() == 0.0
+        assert gate_statistic(np.full(4, 2.5)) == 0.0
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_gate_statistic_rescales_a_loss_sum_that_overflows(self):
+        # over the losses times 2 ** -len.bit_length(), as the draw takes them:
+        # a flat pool reads 0.0 at any scale, and one overflowing pair reads
+        # 5 * (2 * 0.3**2 + 3 * 0.2**2)
+        assert gate_statistic(np.array([1e308, 1e308])) == 0.0
+        spread = gate_statistic(np.array([1e308, 3.0, 1e308, 0.0, 2.0]))
+        assert spread == pytest.approx(1.5, rel=1e-12)
 
     def test_constant_losses_draw_uniformly(self):
         rng = np.random.default_rng(3)
         counts = np.zeros(4)
         for _ in range(20_000):
-            pool = SamplingPool(capacity=4, gate_threshold=0.0)
-            pool.extend(range(4), [1.0] * 4)
-            ids, gate_on = pool.draw(1, rng)
+            ids, gate_on = draw_from_pool(np.arange(4), np.ones(4), 1, 0.0, rng)
             assert not gate_on
             counts[ids[0]] += 1
         assert stats.chisquare(counts).pvalue > 0.01
@@ -159,49 +163,28 @@ class TestSamplingPool:
         hits = 0
         trials = 40_000
         for _ in range(trials):
-            pool = SamplingPool(capacity=2, gate_threshold=0.0)
-            pool.extend([7, 8], [3.0, 1.0])
-            ids, gate_on = pool.draw(1, rng)
+            ids, gate_on = draw_from_pool(np.array([7, 8]), np.array([3.0, 1.0]), 1, 0.0, rng)
             assert gate_on
             hits += ids[0] == 7
         assert abs(hits / trials - 0.75) < 0.01
 
     def test_all_zero_losses_fall_back_to_uniform(self):
         rng = np.random.default_rng(5)
-        pool = SamplingPool(capacity=3, gate_threshold=0.0)
-        pool.extend(range(3), [0.0] * 3)
-        ids, gate_on = pool.draw(2, rng)
+        ids, gate_on = draw_from_pool(np.arange(3), np.zeros(3), 2, 0.0, rng)
         assert not gate_on
-        assert len(set(ids)) == 2
-
-    def test_draw_removes_drawn_ids(self):
-        rng = np.random.default_rng(6)
-        pool = SamplingPool(capacity=4)
-        pool.extend(range(4), [1.0, 2.0, 3.0, 4.0])
-        ids, _ = pool.draw(2, rng)
-        assert len(set(ids)) == 2
-        remaining = [i for i, _ in pool_entries(pool)]
-        assert set(remaining) == set(range(4)) - set(ids)
+        assert len(set(ids.tolist())) == 2
 
     def test_high_threshold_closes_gate(self):
         rng = np.random.default_rng(7)
-        pool = SamplingPool(capacity=2, gate_threshold=10.0)
-        pool.extend([0, 1], [100.0, 1.0])
-        _, gate_on = pool.draw(1, rng)
+        _, gate_on = draw_from_pool(np.array([0, 1]), np.array([100.0, 1.0]), 1, 10.0, rng)
         assert not gate_on
-
-    def test_overdraw_rejected(self):
-        pool = SamplingPool(capacity=4)
-        pool.extend([0], [1.0])
-        with pytest.raises(ConfigurationError):
-            pool.draw(2, np.random.default_rng(0))
 
     def test_negative_loss_rejected(self):
         # feed checks every loss before the pool sees it
         prio = PoolImportancePrioritizer(batch_size=2, seed=0)
         with pytest.raises(ConfigurationError, match="finite and nonnegative"):
             prio.feed(np.arange(2), np.array([1.0, -1.0]))
-        assert len(prio.pool) == 0
+        assert pool_entries(prio) == []
 
 
 def feed_stream(prio, scores, batch=None, start_id=0):
@@ -328,7 +311,7 @@ class TestMakePrioritizer:
 
     def test_default_pool_capacity_is_three_batches(self):
         prio = make_prioritizer(PrioritizerConfig(kind="vr", seed=3), batch_size=32)
-        assert prio.pool.capacity == 96
+        assert prio.capacity == 96
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -386,7 +369,7 @@ class TestSelectorState:
         for _ in range(2):
             prio = PoolImportancePrioritizer(batch_size=2, seed=15, pool_capacity=6)
             prio.feed(np.arange(4), np.array([1.0, 2.0, 3.0, 4.0]))
-            runs.append((pool_entries(prio.pool), prio.ingested, prio.selected,
+            runs.append((pool_entries(prio), prio.ingested, prio.selected,
                          prio.rng.bit_generator.state))
         assert runs[0] == runs[1]
 
@@ -394,8 +377,8 @@ class TestSelectorState:
         prio = PoolImportancePrioritizer(batch_size=4, seed=0, pool_capacity=8)
         prio.feed(np.array([10, 11]), np.array([1.5, 2.5]))
         assert (prio.kind, prio.batch_size, prio.ingested, prio.selected) == ("vr", 4, 2, 0)
-        assert pool_entries(prio.pool) == [(10, 1.5), (11, 2.5)]
-        assert (prio.pool.capacity, prio.pool.gate_threshold) == (8, 0.0)
+        assert pool_entries(prio) == [(10, 1.5), (11, 2.5)]
+        assert (prio.capacity, prio.gate_threshold) == (8, 0.0)
 
 
 def per_example_selective_backprop(batch_size, seed, beta, capacity, feeds):
@@ -447,24 +430,21 @@ class TestBatchedSelectionMatchesPerExample:
             batch_size = int(data.integers(1, max(positive, 1) + 1))
             threshold = (0.0, 0.3, 1e9)[trial % 3]
             entries = list(zip(data.permutation(10 * size)[:size].tolist(), losses.tolist()))
-            pool = SamplingPool(capacity=size, gate_threshold=threshold)
-            pool.extend(*zip(*entries))
             seed = int(data.integers(1 << 30))
             rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = pool.draw(batch_size, rng)
-            picked, gate_on, rest = reference_pool_draw(entries, batch_size, threshold, ref_rng)
-            assert got == (picked, gate_on)
-            assert pool_entries(pool) == rest
+            ids, gate_on = draw_from_pool(*map(np.array, zip(*entries)), batch_size,
+                                          threshold, rng)
+            assert (ids.tolist(), gate_on) == reference_pool_draw(entries, batch_size,
+                                                                  threshold, ref_rng)[:2]
             assert rng.bit_generator.state == ref_rng.bit_generator.state
             gates.add(gate_on)
         assert gates == {True, False}
 
-        # rng.choice cannot go on once only zero losses are left; the pool
+        # rng.choice cannot go on once only zero losses are left; the draw
         # takes every positive loss first and then picks uniformly
-        pool = SamplingPool(capacity=6)
-        pool.extend(range(6), [0.0, 2.0, 0.0, 1.0, 0.0, 0.0])
-        ids, gate_on = pool.draw(4, np.random.default_rng(0))
-        assert gate_on and set(ids[:2]) == {1, 3} and len(set(ids)) == 4
+        ids, gate_on = draw_from_pool(np.arange(6), np.array([0.0, 2.0, 0.0, 1.0, 0.0, 0.0]),
+                                      4, 0.0, np.random.default_rng(0))
+        assert gate_on and set(ids[:2].tolist()) == {1, 3} and len(set(ids.tolist())) == 4
 
 
 def expected_pool_draw(entries, batch_size, threshold, rng):
@@ -477,16 +457,13 @@ def expected_pool_draw(entries, batch_size, threshold, rng):
 
 
 def assert_pool_draw_matches(entries, batch_size, threshold, seed, scale=1.0):
-    """The pool's draw against expected_pool_draw over each loss times scale,
+    """draw_from_pool against expected_pool_draw over each loss times scale,
     a power of two, from equal generators."""
-    pool = SamplingPool(capacity=len(entries), gate_threshold=threshold)
-    pool.extend(*zip(*entries))
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = pool.draw(batch_size, rng)
-    picked, gate_on, rest = expected_pool_draw([(i, loss * scale) for i, loss in entries],
-                                               batch_size, threshold, ref_rng)
-    assert got == (picked, gate_on)
-    assert pool_entries(pool) == [(i, loss / scale) for i, loss in rest]
+    ids, gate_on = draw_from_pool(*map(np.array, zip(*entries)), batch_size, threshold, rng)
+    picked, ref_gate_on, _ = expected_pool_draw([(i, loss * scale) for i, loss in entries],
+                                                batch_size, threshold, ref_rng)
+    assert (ids.tolist(), gate_on) == (picked, ref_gate_on)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
@@ -532,6 +509,29 @@ def test_pool_draw_rescales_a_loss_sum_that_overflows(recomputed):
         recomputed.clear()
         assert_pool_draw_matches(entries, 5, 0.0, seed, scale=2.0**-3)
         assert len(recomputed) == 4
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch_size=st.integers(1, 8), spare=st.integers(0, 16),
+       losses=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 10.0), max_size=120),
+       cuts=st.lists(st.integers(0, 120)), threshold=st.sampled_from([0.0, 0.3]),
+       seed=st.integers(0, 2**16))
+def test_vr_batches_do_not_depend_on_chunking(batch_size, spare, losses, cuts, threshold,
+                                              seed):
+    # pools are cut from the stream, so any chunking of one stream draws the
+    # same batches from the same generator and leaves the same candidates over
+    rows = np.random.default_rng(seed).permutation(10 * len(losses) + 1)[: len(losses)]
+    losses = np.array(losses)
+
+    def run(bounds):
+        prio = PoolImportancePrioritizer(batch_size, seed, batch_size + spare, threshold)
+        batches = [(batch.tolist(), gate_on) for lo, hi in zip(bounds, bounds[1:])
+                   for batch, gate_on in prio.feed(rows[lo:hi], losses[lo:hi])]
+        return (batches, pool_entries(prio), prio.ingested, prio.selected,
+                prio.rng.bit_generator.state)
+
+    chunked = run(sorted({0, len(losses), *(c for c in cuts if c < len(losses))}))
+    assert chunked == run([0, len(losses)])
 
 
 @settings(max_examples=200, deadline=None)
