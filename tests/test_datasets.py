@@ -2,10 +2,15 @@
 
 import hashlib
 import struct
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import Example, corrupt_gaussian, corrupt_random_label, corrupt_shuffle_pixels
 
 from lossprio import datasets
@@ -22,6 +27,20 @@ from lossprio.datasets import (
     write_snapshot_csv,
 )
 from lossprio.errors import ConfigurationError, IngestionError
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    # a synthetic build joins its helper thread however the build ends
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
+
+
+@pytest.fixture
+def helper_thread(monkeypatch):
+    """Every synthetic build draws its features on the helper thread."""
+    monkeypatch.setattr(datasets, "_THREAD_BYTES", 0)
 
 
 def synthetic(num, classes, dim, seed, cluster_spread=2.0):
@@ -390,6 +409,124 @@ def test_build_holds_no_second_copy_of_the_features():
     final = sum(a.nbytes for ds in (train, test)
                 for a in (ds.features, ds.labels, ds.kind_codes))
     assert peak <= 1.25 * final, peak / final
+
+
+@pytest.mark.parametrize("kind", sorted(BUILD_9000x64))
+def test_threaded_build_bytes_pinned(kind, helper_thread, monkeypatch):
+    # the helper draws the 10000 rows in 100 blocks, and the 4500 corrupted
+    # rows span 45 blocks, each waiting only for the rows it reads
+    monkeypatch.setattr(datasets, "_CHUNK_BYTES", 8 * 64 * 100)
+    test_build_bytes_pinned(kind)
+
+
+def test_threaded_builds_at_once_under_fast_switching(helper_thread, monkeypatch):
+    # four builds and their four helpers on two cores, switching every
+    # microsecond: a block finished before it is drawn, or a lost handoff,
+    # changes the bytes or hangs a build
+    monkeypatch.setattr(datasets, "_CHUNK_BYTES", 8 * 64 * 20)
+    passed = []
+
+    def build(kind):
+        test_build_bytes_pinned(kind)
+        passed.append(kind)
+
+    builds = [threading.Thread(target=build, args=(kind,), daemon=True)
+              for kind in sorted(BUILD_9000x64)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in builds:
+            thread.start()
+        for thread in builds:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in builds)
+    assert sorted(passed) == sorted(BUILD_9000x64)
+
+
+def test_threaded_build_holds_no_second_copy_of_the_features(helper_thread):
+    test_build_holds_no_second_copy_of_the_features()
+
+
+@settings(max_examples=60, deadline=None)
+@given(classes=st.integers(2, 6), dim=st.integers(2, 24), train_extra=st.integers(0, 200),
+       test_extra=st.integers(0, 60), kind=st.sampled_from(CORRUPTION_KINDS),
+       fraction=st.floats(0.0, 1.0), seed=st.integers(0, 2**32), chunk_bytes=st.integers(1, 1 << 13))
+def test_threaded_build_equals_the_inline_build(classes, dim, train_extra, test_extra, kind,
+                                                fraction, seed, chunk_bytes):
+    spec = CorruptionSpec(kind, 0.0 if kind is CorruptionKind.NONE else fraction, seed + 1)
+    args = (classes + train_extra, classes + test_extra, classes, dim, seed, 1.5, spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(datasets, "_CHUNK_BYTES", chunk_bytes)
+        inline = generate_synthetic_pair(*args)
+        patch.setattr(datasets, "_THREAD_BYTES", 0)
+        threaded = generate_synthetic_pair(*args)
+    for a, b in zip(inline, threaded):
+        for field in ("features", "labels", "kind_codes"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+def spy_on_draws(monkeypatch, seed, delay=0.0, fail_at=None):
+    """Route np.random.default_rng(seed) through a generator whose
+    standard_normal sleeps `delay` s, then draws and records how many rows it
+    filled; its draw numbered `fail_at` (from 0) raises FloatingPointError
+    after the sleep instead.  Other seeds get plain generators."""
+    make, filled = np.random.default_rng, []
+
+    class Spy:
+        def __init__(self):
+            self.rng = make(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def standard_normal(self, out):
+            time.sleep(delay)
+            if len(filled) == fail_at:
+                raise FloatingPointError("draw failed")
+            self.rng.standard_normal(out=out)
+            filled.append(len(out))
+
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda s: Spy() if s == seed else make(s))
+    return filled
+
+
+def test_a_failure_on_the_calling_side_stops_the_helper_early(helper_thread, monkeypatch):
+    # 100 blocks of 10 ms would take the helper a second to draw in full
+    monkeypatch.setattr(datasets, "_CHUNK_BYTES", 8 * 64 * 100)
+    filled = spy_on_draws(monkeypatch, seed=4, delay=0.01)
+    failure = OverflowError("no permutation")
+
+    def make_task_permutation(feature_dim, seed):
+        raise failure
+
+    monkeypatch.setattr(datasets, "make_task_permutation", make_task_permutation)
+    with pytest.raises(OverflowError) as raised:
+        _build(9000, 1000, 64, "shuffled_pixels")
+    assert raised.value is failure
+    assert sum(filled) < 10000, sum(filled)
+
+
+def test_a_failed_draw_reaches_the_caller(helper_thread, monkeypatch):
+    # the caller is waiting for the fourth block when its draw fails
+    monkeypatch.setattr(datasets, "_CHUNK_BYTES", 8 * 64 * 100)
+    filled = spy_on_draws(monkeypatch, seed=4, delay=0.05, fail_at=3)
+    raised = []
+
+    def build():
+        try:
+            _build(9000, 1000, 64, "gaussian")
+        except FloatingPointError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=build, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive(), "the build waits on a block that failed to draw"
+    assert [str(exc) for exc in raised] == ["draw failed"]
+    assert filled == [100] * 3
 
 
 def test_apply_corruption_leaves_its_input_untouched():
