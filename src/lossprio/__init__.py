@@ -21,7 +21,7 @@ from .harness import (
     compute_speedup,
     run_training,
 )
-from .model import ModelParams, TrainerConfig, forward, init_params
+from .model import ModelParams, TrainerConfig, init_params
 from .prioritizers import PrioritizerConfig, make_prioritizer
 
 __all__ = [
@@ -40,7 +40,6 @@ __all__ = [
     "aggregate_seeds",
     "apply_corruption",
     "compute_speedup",
-    "forward",
     "generate_synthetic_pair",
     "init_params",
     "load_idx_images",

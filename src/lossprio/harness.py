@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,7 @@ from .prioritizers import PrioritizerConfig, make_prioritizer
 
 METRICS_HEADER = ["iteration", "backprops", "test_error", "corrupted_frac_batch", "gate_on"]
 EVAL_CHUNK = 4096  # test rows per evaluation forward
+SPEEDUP_SLACK = 1.2  # a speedup's threshold is this times the baseline's best error
 
 
 @dataclass(eq=False)
@@ -169,8 +170,15 @@ def run_training(
                     if batch_log is not None:
                         batch_log.append(chosen.tolist())
                     if state.backprops >= next_eval:
-                        err = evaluate_error(params, test_feats, test_labels,
-                                             workspace=workspace)
+                        # finite parameters can still overflow a forward
+                        try:
+                            with np.errstate(over="raise", invalid="raise"):
+                                err = evaluate_error(params, test_feats, test_labels,
+                                                     workspace=workspace)
+                        except FloatingPointError:
+                            raise TrainingDivergedError(
+                                "overflow while evaluating", iteration=state.updates
+                            ) from None
                         metrics.eval_iterations.append(metrics.num_iterations - 1)
                         metrics.eval_errors.append(err)
                         while next_eval <= state.backprops:
@@ -194,16 +202,7 @@ class SpeedupReport:
     best_error: float
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "threshold_error": self.threshold_error,
-                "baseline_backprops": self.baseline_backprops,
-                "method_backprops": self.method_backprops,
-                "speedup": self.speedup,
-                "best_error": self.best_error,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def _first_crossing(eval_points, threshold: float) -> int | None:
@@ -213,17 +212,15 @@ def _first_crossing(eval_points, threshold: float) -> int | None:
     return None
 
 
-def compute_speedup(baseline, method, slack: float = 1.2) -> SpeedupReport:
-    """Backprops the baseline needed to reach slack * its own best error,
-    divided by the backprops the method needed to reach the same level.
+def compute_speedup(baseline, method) -> SpeedupReport:
+    """Backprops the baseline needed to reach SPEEDUP_SLACK * its own best
+    error, divided by the backprops the method needed to reach the same level.
 
     A method that never reaches the threshold gets no speedup value (the
     benchmark renders that as a dash).  Both arguments just need eval_points
     and best_test_error, so per-seed runs and seed averages both work.
     """
-    if slack < 1.0:
-        raise ConfigurationError("slack multiplier must be at least 1")
-    threshold = slack * baseline.best_test_error
+    threshold = SPEEDUP_SLACK * baseline.best_test_error
     base_cross = _first_crossing(baseline.eval_points, threshold)
     if base_cross is None:
         raise ConfigurationError("baseline never reaches its own threshold")

@@ -165,21 +165,12 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def forward(params: ModelParams, features: np.ndarray, labels: np.ndarray,
             workspace: Workspace | None = None) -> ForwardResult:
-    """Score a batch without touching any state but the workspace's."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if features.ndim != 2:
-        raise ConfigurationError("features must be a 2-d batch")
-    if features.shape[1] != params.weights[0].shape[0]:
-        raise ConfigurationError(
-            f"feature width {features.shape[1]} does not match model input "
-            f"{params.weights[0].shape[0]}"
-        )
-    if labels.shape != (features.shape[0],):
-        raise ConfigurationError("labels must be a vector matching the batch")
-    num_classes = params.weights[-1].shape[1]
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ConfigurationError(f"labels outside [0, {num_classes})")
+    """Score a batch without touching any state but the workspace's.
+
+    The batch is rows of a Dataset that matches the model: float64 features
+    as wide as its input and int64 labels below its class count.  Dataset and
+    run_training own those rules, so they are not checked again here.
+    """
     workspace = workspace or Workspace(params, len(features))
     logits = _activations(params, features, workspace)[-1]
     predictions = logits.argmax(axis=1)
@@ -192,9 +183,7 @@ def _backward(params: ModelParams, features, labels,
               workspace: Workspace | None = None) -> tuple[float, ModelParams]:
     """Mean cross-entropy over the batch and its gradient, laid out like params;
     the gradient is the workspace's."""
-    features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    batch = features.shape[0]
+    batch = len(features)
     workspace = workspace or Workspace(params, batch)
     rows = np.arange(batch)
     acts = _activations(params, features, workspace)
@@ -251,7 +240,7 @@ def sgd_step(params: ModelParams, features, labels, cfg: TrainerConfig, state: S
     np.multiply(state.velocity, lr, out=step)
     params.vector -= step
     state.updates += 1
-    state.backprops += int(np.asarray(features).shape[0])
+    state.backprops += len(features)
     return loss
 
 

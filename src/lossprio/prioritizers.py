@@ -32,14 +32,12 @@ from .model import prediction_entropy
 
 PRIORITIZER_KINDS = ("uniform", "sb_loss", "sb_entropy", "vr")
 
-DEFAULT_HISTOGRAM_CAPACITY = 1024
-
 
 @dataclass
 class PrioritizerConfig:
     kind: str = "uniform"
     beta: float = 1.0
-    histogram_capacity: int = DEFAULT_HISTOGRAM_CAPACITY
+    histogram_capacity: int = 1024
     pool_capacity: int | None = None
     gate_threshold: float = 0.0
     seed: int = 0
@@ -76,7 +74,7 @@ class ScoreHistogram:
     than a binned summary.
     """
 
-    def __init__(self, capacity: int = DEFAULT_HISTOGRAM_CAPACITY):
+    def __init__(self, capacity: int):
         self.capacity = capacity
         self._buf = np.empty(capacity, dtype=np.float64)
         self._size = 0
@@ -194,16 +192,18 @@ def draw_from_pool(ids: np.ndarray, losses: np.ndarray, batch_size: int,
 
 
 class Prioritizer:
-    """Common interface: feed candidates, collect full training batches."""
+    """Common interface: feed candidates, collect full training batches.
 
-    kind = "base"
+    Built from its config alone, by make_prioritizer."""
+
     needs_scores = True  # False: feed ignores losses and distributions
 
-    def __init__(self, batch_size: int, seed: int):
+    def __init__(self, cfg: PrioritizerConfig, batch_size: int):
         if batch_size < 1:
             raise ConfigurationError("batch_size must be positive")
+        self.kind = cfg.kind
         self.batch_size = batch_size
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(cfg.seed)
         self.ingested = 0
         self.selected = 0
 
@@ -224,7 +224,6 @@ class Prioritizer:
 class UniformPrioritizer(Prioritizer):
     """Plain SGD: every candidate batch passes through untouched."""
 
-    kind = "uniform"
     needs_scores = False
 
     def feed(self, rows, losses=None, probabilities=None):
@@ -244,23 +243,15 @@ class SelectiveBackpropPrioritizer(Prioritizer):
     one example at a time (the reference in tests/reference.py).
     """
 
-    def __init__(
-        self,
-        batch_size: int,
-        seed: int,
-        beta: float,
-        histogram_capacity: int = DEFAULT_HISTOGRAM_CAPACITY,
-        kind: str = "sb_loss",
-    ):
-        super().__init__(batch_size, seed)
-        if histogram_capacity < batch_size:
+    def __init__(self, cfg: PrioritizerConfig, batch_size: int):
+        super().__init__(cfg, batch_size)
+        if cfg.histogram_capacity < batch_size:
             # the window could never hold a batch, so warm-up would never end
             raise ConfigurationError(
-                f"histogram_capacity {histogram_capacity} smaller than batch_size {batch_size}"
+                f"histogram_capacity {cfg.histogram_capacity} smaller than batch_size {batch_size}"
             )
-        self.beta = beta
-        self.kind = kind
-        self.histogram = ScoreHistogram(histogram_capacity)
+        self.beta = cfg.beta
+        self.histogram = ScoreHistogram(cfg.histogram_capacity)
         self._queue = np.empty(0, dtype=np.int64)  # admitted ids not yet in a batch
 
     def feed(self, rows, losses=None, probabilities=None):
@@ -303,22 +294,14 @@ class PoolImportancePrioritizer(Prioritizer):
     clears the threshold; there is no warm-up and no loss re-weighting.
     """
 
-    kind = "vr"
-
-    def __init__(
-        self,
-        batch_size: int,
-        seed: int,
-        pool_capacity: int | None = None,
-        gate_threshold: float = 0.0,
-    ):
-        super().__init__(batch_size, seed)
-        self.capacity = 3 * batch_size if pool_capacity is None else pool_capacity
+    def __init__(self, cfg: PrioritizerConfig, batch_size: int):
+        super().__init__(cfg, batch_size)
+        self.capacity = 3 * batch_size if cfg.pool_capacity is None else cfg.pool_capacity
         if self.capacity < batch_size:
             raise ConfigurationError(
                 f"pool_capacity {self.capacity} smaller than batch_size {batch_size}"
             )
-        self.gate_threshold = gate_threshold
+        self.gate_threshold = cfg.gate_threshold
         # candidates not yet in a full pool
         self._ids = np.empty(0, dtype=np.int64)
         self._losses = np.empty(0, dtype=np.float64)
@@ -342,16 +325,10 @@ class PoolImportancePrioritizer(Prioritizer):
                 for lo in range(0, full, cap)]
 
 
+_CLASSES = {"uniform": UniformPrioritizer, "sb_loss": SelectiveBackpropPrioritizer,
+            "sb_entropy": SelectiveBackpropPrioritizer, "vr": PoolImportancePrioritizer}
+
+
 def make_prioritizer(cfg: PrioritizerConfig, batch_size: int) -> Prioritizer:
     """Build the strategy named by cfg.kind for the given training batch size."""
-    if cfg.kind == "uniform":
-        return UniformPrioritizer(batch_size, cfg.seed)
-    if cfg.kind in ("sb_loss", "sb_entropy"):
-        return SelectiveBackpropPrioritizer(
-            batch_size, cfg.seed, cfg.beta, cfg.histogram_capacity, cfg.kind
-        )
-    if cfg.kind == "vr":
-        return PoolImportancePrioritizer(
-            batch_size, cfg.seed, cfg.pool_capacity, cfg.gate_threshold
-        )
-    raise ConfigurationError(f"unknown prioritizer kind {cfg.kind!r}")
+    return _CLASSES[cfg.kind](cfg, batch_size)

@@ -117,7 +117,7 @@ def test_clean_data_speedup(capsys, clean_pair):
     method = aggregate_seeds(
         [run_one(train, test, "sb_loss", s, beta=1.0) for s in SEEDS]
     )
-    report = compute_speedup(base, method, slack=1.2)
+    report = compute_speedup(base, method)
     elapsed = time.perf_counter() - t0
     shown = "none" if report.speedup is None else f"{report.speedup:.2f}"
     detail = (

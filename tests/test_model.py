@@ -64,16 +64,6 @@ class TestForward:
         assert np.isfinite(result.losses).all()
         assert np.isfinite(result.probabilities).all()
 
-    def test_width_mismatch_rejected(self):
-        params = init_params([4, 2], 0)
-        with pytest.raises(ConfigurationError):
-            forward(params, np.zeros((2, 3)), np.array([0, 1]))
-
-    def test_bad_labels_rejected(self):
-        params = init_params([4, 2], 0)
-        with pytest.raises(ConfigurationError):
-            forward(params, np.zeros((2, 4)), np.array([0, 2]))
-
 
 class TestInit:
     def test_fan_in_bounds_and_determinism(self):

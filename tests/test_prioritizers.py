@@ -20,16 +20,18 @@ from scipy import stats
 from lossprio.errors import ConfigurationError
 from lossprio.prioritizers import (
     PRIORITIZER_KINDS,
-    PoolImportancePrioritizer,
     PrioritizerConfig,
     ScoreHistogram,
-    SelectiveBackpropPrioritizer,
-    UniformPrioritizer,
     draw_from_pool,
     expected_selection_fraction,
     gate_statistic,
     make_prioritizer,
 )
+
+
+def selector(batch_size, **fields):
+    """A selector built as the package builds every one: from its config."""
+    return make_prioritizer(PrioritizerConfig(**fields), batch_size)
 
 
 def brute_force_cdf(window, score):
@@ -181,7 +183,7 @@ class TestPoolDraw:
 
     def test_negative_loss_rejected(self):
         # feed checks every loss before the pool sees it
-        prio = PoolImportancePrioritizer(batch_size=2, seed=0)
+        prio = selector(2, kind="vr", seed=0)
         with pytest.raises(ConfigurationError, match="finite and nonnegative"):
             prio.feed(np.arange(2), np.array([1.0, -1.0]))
         assert pool_entries(prio) == []
@@ -202,8 +204,8 @@ class TestSelectiveBackprop:
     def test_beta_zero_matches_uniform_passthrough(self):
         rng = np.random.default_rng(8)
         scores = rng.random(512)
-        uni = UniformPrioritizer(batch_size=128, seed=1)
-        sb = SelectiveBackpropPrioritizer(batch_size=128, seed=999, beta=0.0)
+        uni = selector(128, kind="uniform", seed=1)
+        sb = selector(128, kind="sb_loss", seed=999, beta=0.0)
         uni_batches = feed_stream(uni, scores)
         sb_batches = feed_stream(sb, scores)
         assert uni_batches == sb_batches
@@ -211,21 +213,21 @@ class TestSelectiveBackprop:
 
     def test_constant_scores_all_admitted(self):
         # inclusive ties make every cdf query 1.0 for any beta
-        sb = SelectiveBackpropPrioritizer(batch_size=32, seed=2, beta=5.0)
+        sb = selector(32, kind="sb_loss", seed=2, beta=5.0)
         feed_stream(sb, np.full(320, 1.25))
         assert sb.selected == 320
 
     @pytest.mark.parametrize("beta", [1.0, 2.0])
     def test_monte_carlo_selectivity(self, beta):
         rng = np.random.default_rng(int(beta) + 40)
-        sb = SelectiveBackpropPrioritizer(batch_size=128, seed=3, beta=beta)
+        sb = selector(128, kind="sb_loss", seed=3, beta=beta)
         feed_stream(sb, rng.random(40_000))
         rate = sb.selected / sb.ingested
         assert abs(rate - expected_selection_fraction(beta)) < 0.015
 
     def test_warm_up_admits_everything(self):
         rng = np.random.default_rng(9)
-        sb = SelectiveBackpropPrioritizer(batch_size=64, seed=4, beta=8.0)
+        sb = selector(64, kind="sb_loss", seed=4, beta=8.0)
         sb.feed(np.arange(63), rng.random(63))
         assert sb.selected == 63  # window below one batch: no filtering yet
 
@@ -236,7 +238,7 @@ class TestSelectiveBackprop:
         n = 20_000
         planted = rng.random(n) < 0.2
         scores = np.where(planted, 2.0 + rng.random(n), rng.random(n))
-        sb = SelectiveBackpropPrioritizer(batch_size=128, seed=5, beta=1.0)
+        sb = selector(128, kind="sb_loss", seed=5, beta=1.0)
         picked = np.concatenate(feed_stream(sb, scores)).astype(int)
         picked_planted = int(planted[picked].sum())
         total_picked = len(picked)
@@ -245,7 +247,7 @@ class TestSelectiveBackprop:
         assert test.pvalue < 0.001
 
     def test_scores_must_be_finite_and_nonnegative(self):
-        sb = SelectiveBackpropPrioritizer(batch_size=4, seed=6, beta=1.0)
+        sb = selector(4, kind="sb_loss", seed=6, beta=1.0)
         with pytest.raises(ConfigurationError):
             sb.feed(np.array([0]), np.array([-1.0]))
         with pytest.raises(ConfigurationError):
@@ -253,14 +255,14 @@ class TestSelectiveBackprop:
 
     def test_entropy_variant_ranks_by_entropy(self):
         # the window must hold entropies of the distributions, not losses
-        sb = SelectiveBackpropPrioritizer(batch_size=2, seed=7, beta=1.0, kind="sb_entropy")
+        sb = selector(2, kind="sb_entropy", seed=7, beta=1.0)
         probs = np.array([[1.0, 0.0], [0.5, 0.5]])
         sb.feed(np.array([0, 1]), losses=np.array([9.0, 9.0]), probabilities=probs)
         window = histogram_window(sb.histogram)
         np.testing.assert_allclose(window, [0.0, np.log(2)], atol=1e-12)
 
     def test_entropy_variant_requires_distributions(self):
-        sb = SelectiveBackpropPrioritizer(batch_size=2, seed=8, beta=1.0, kind="sb_entropy")
+        sb = selector(2, kind="sb_entropy", seed=8, beta=1.0)
         with pytest.raises(ConfigurationError):
             sb.feed(np.array([0, 1]), losses=np.array([1.0, 2.0]))
 
@@ -268,14 +270,14 @@ class TestSelectiveBackprop:
 class TestPoolImportancePrioritizer:
     def test_selectivity_is_batch_over_capacity(self):
         rng = np.random.default_rng(11)
-        prio = PoolImportancePrioritizer(batch_size=32, seed=9, pool_capacity=96)
+        prio = selector(32, kind="vr", seed=9, pool_capacity=96)
         batches = feed_stream(prio, rng.random(9600) + 0.1, batch=32)
         assert len(batches) == 100  # one draw per 3 candidate batches
         assert prio.selected / prio.ingested == pytest.approx(1 / 3)
 
     def test_batches_are_distinct_fed_ids(self):
         rng = np.random.default_rng(12)
-        prio = PoolImportancePrioritizer(batch_size=16, seed=10, pool_capacity=48)
+        prio = selector(16, kind="vr", seed=10, pool_capacity=48)
         scores = rng.random(480) + 0.5
         batches = feed_stream(prio, scores)
         for batch in batches:
@@ -284,7 +286,7 @@ class TestPoolImportancePrioritizer:
             assert all(0 <= i < 480 for i in batch)
 
     def test_gate_flags_align_with_batches(self):
-        prio = PoolImportancePrioritizer(batch_size=2, seed=11, pool_capacity=4)
+        prio = selector(2, kind="vr", seed=11, pool_capacity=4)
         flat = prio.feed(np.arange(4), np.ones(4))
         flags_flat = [gate_on for _, gate_on in flat]
         spread = prio.feed(np.arange(4, 8), np.array([5.0, 0.1, 0.1, 0.1]))
@@ -295,7 +297,7 @@ class TestPoolImportancePrioritizer:
 
     def test_capacity_below_batch_rejected(self):
         with pytest.raises(ConfigurationError):
-            PoolImportancePrioritizer(batch_size=32, seed=0, pool_capacity=16)
+            selector(32, kind="vr", seed=0, pool_capacity=16)
 
 
 class TestMakePrioritizer:
@@ -308,6 +310,17 @@ class TestMakePrioritizer:
         for kind in ("uniform", "sb_loss", "sb_entropy", "vr"):
             prio = make_prioritizer(PrioritizerConfig(kind=kind, seed=2), batch_size=8)
             assert prio.kind == kind
+
+    def test_every_setting_comes_from_the_config(self):
+        cfg = PrioritizerConfig(kind="sb_entropy", beta=2.5, histogram_capacity=40, seed=17)
+        sb = make_prioritizer(cfg, batch_size=8)
+        assert (sb.kind, sb.beta, sb.histogram.capacity, sb.batch_size) == ("sb_entropy", 2.5,
+                                                                            40, 8)
+        cfg = PrioritizerConfig(kind="vr", pool_capacity=12, gate_threshold=0.3, seed=17)
+        vr = make_prioritizer(cfg, batch_size=8)
+        assert (vr.kind, vr.capacity, vr.gate_threshold) == ("vr", 12, 0.3)
+        seeded = np.random.default_rng(17).bit_generator.state
+        assert sb.rng.bit_generator.state == vr.rng.bit_generator.state == seeded
 
     def test_default_pool_capacity_is_three_batches(self):
         prio = make_prioritizer(PrioritizerConfig(kind="vr", seed=3), batch_size=32)
@@ -357,8 +370,7 @@ class TestMakePrioritizer:
 
 class TestSelectorState:
     def test_window_and_counters_after_a_feed(self):
-        sb = SelectiveBackpropPrioritizer(batch_size=4, seed=14, beta=1.0,
-                                          histogram_capacity=8)
+        sb = selector(4, kind="sb_loss", seed=14, beta=1.0, histogram_capacity=8)
         feed_stream(sb, np.array([3.0, 1.0, 2.0, 5.0, 4.0]), batch=5)
         assert sb.kind == "sb_loss"
         assert histogram_window(sb.histogram) == [3.0, 1.0, 2.0, 5.0, 4.0]
@@ -367,14 +379,14 @@ class TestSelectorState:
     def test_identical_streams_identical_state(self):
         runs = []
         for _ in range(2):
-            prio = PoolImportancePrioritizer(batch_size=2, seed=15, pool_capacity=6)
+            prio = selector(2, kind="vr", seed=15, pool_capacity=6)
             prio.feed(np.arange(4), np.array([1.0, 2.0, 3.0, 4.0]))
             runs.append((pool_entries(prio), prio.ingested, prio.selected,
                          prio.rng.bit_generator.state))
         assert runs[0] == runs[1]
 
     def test_golden_pool_state(self):
-        prio = PoolImportancePrioritizer(batch_size=4, seed=0, pool_capacity=8)
+        prio = selector(4, kind="vr", seed=0, pool_capacity=8)
         prio.feed(np.array([10, 11]), np.array([1.5, 2.5]))
         assert (prio.kind, prio.batch_size, prio.ingested, prio.selected) == ("vr", 4, 2, 0)
         assert pool_entries(prio) == [(10, 1.5), (11, 2.5)]
@@ -412,8 +424,8 @@ class TestBatchedSelectionMatchesPerExample:
                  for lo in range(0, len(scores), feed_len)]
         expected, window, ref_rng = per_example_selective_backprop(16, 7, beta, capacity, feeds)
 
-        prio = SelectiveBackpropPrioritizer(batch_size=16, seed=7, beta=beta,
-                                            histogram_capacity=capacity)
+        prio = selector(16, kind="sb_loss", seed=7, beta=beta,
+                        histogram_capacity=capacity)
         got = [rows.tolist() for ids, chunk in feeds
                for rows, _ in prio.feed(np.array(ids), chunk)]
         assert got == expected
@@ -524,7 +536,8 @@ def test_vr_batches_do_not_depend_on_chunking(batch_size, spare, losses, cuts, t
     losses = np.array(losses)
 
     def run(bounds):
-        prio = PoolImportancePrioritizer(batch_size, seed, batch_size + spare, threshold)
+        prio = selector(batch_size, kind="vr", seed=seed, pool_capacity=batch_size + spare,
+                        gate_threshold=threshold)
         batches = [(batch.tolist(), gate_on) for lo, hi in zip(bounds, bounds[1:])
                    for batch, gate_on in prio.feed(rows[lo:hi], losses[lo:hi])]
         return (batches, pool_entries(prio), prio.ingested, prio.selected,
@@ -558,6 +571,6 @@ def test_insert_many_matches_the_reference(capacity, scores, cuts):
 def test_histogram_smaller_than_batch_rejected():
     # the window could never hold a batch: warm-up would admit every example
     with pytest.raises(ConfigurationError, match="histogram_capacity 64 smaller than batch_size 128"):
-        SelectiveBackpropPrioritizer(batch_size=128, seed=0, beta=1.0, histogram_capacity=64)
+        selector(128, kind="sb_loss", seed=0, beta=1.0, histogram_capacity=64)
     with pytest.raises(ConfigurationError, match="capacity 64"):
         make_prioritizer(PrioritizerConfig(kind="sb_entropy", histogram_capacity=64), 128)
