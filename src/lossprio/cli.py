@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import os
 import sys
 from collections import namedtuple
@@ -18,7 +19,9 @@ from dataclasses import replace
 from multiprocessing import get_context
 from pathlib import Path
 
-from . import selftest
+import numpy as np
+
+from . import harness, selftest
 from .config import (
     BenchmarkConfig,
     ExperimentConfig,
@@ -73,19 +76,39 @@ def _run_job(job: _Job, cells: dict | None = None):
     return metrics
 
 
+def _start_process(spare_core: bool) -> None:
+    """Ready this process, or a spawned worker, to run jobs: say whether it
+    has a core to spare, and run numpy's bundled OpenBLAS on one thread, so no
+    job's bytes depend on the cores it finds (a numpy without it is left as is)."""
+    harness._spare_core = spare_core
+    site = Path(np.__file__).resolve().parent.parent
+    for lib in [*site.glob("numpy.libs/*scipy_openblas64_*"),
+                *site.glob("numpy/.dylibs/*scipy_openblas64_*")]:
+        try:
+            setter = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+        return
+
+
 def _run_seeds(jobs: list[_Job], threads: int) -> list:
     """Every job's RunMetrics in job order, from this process and threads - 1 workers.
 
     Spawned workers, always fewer than the jobs, take jobs from the front of
     the list; this process walks it from the back and runs each job it can
-    still cancel.  The first exception in job order is raised.  perfbench's
-    span probes patch this function by name.
+    still cancel.  The first exception in job order is raised.  Each process
+    runs BLAS on one thread, and evaluates on a helper thread only while the
+    processes leave a core spare.  perfbench's span probes patch this
+    function by name.
     """
-    workers = min(threads, len(jobs)) - 1
-    if workers:
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(name, "1")
-    pool = ProcessPoolExecutor(workers, mp_context=get_context("spawn")) if workers else None
+    processes = min(threads, len(jobs))
+    spare_core, before = processes < harness._usable_cores(), harness._spare_core
+    _start_process(spare_core)
+    pool = ProcessPoolExecutor(processes - 1, mp_context=get_context("spawn"),
+                               initializer=_start_process,
+                               initargs=(spare_core,)) if processes > 1 else None
     cells: dict = {}
     try:
         futures = [pool.submit(_run_job, job) if pool else Future() for job in jobs]
@@ -98,13 +121,22 @@ def _run_seeds(jobs: list[_Job], threads: int) -> list:
                     futures[i].set_exception(exc)
         return [future.result() for future in futures]
     finally:
+        harness._spare_core = before
         if pool is not None:
             pool.shutdown(cancel_futures=True)  # after an interrupt, start no queued job
 
 
-def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _start_output(cfg, out_dir: Path) -> None:
+    """Create the output root and write the resolved config into it."""
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError, PermissionError) as exc:
+        raise ConfigurationError(f"output directory {out_dir}: {exc.strerror}") from None
     (out_dir / "resolved_config.json").write_text(resolved_config_json(cfg))
+
+
+def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
+    _start_output(cfg, out_dir)
     runs = _run_seeds([
         _Job(cfg, cfg.corruption, cfg.prioritizer, seed, out_dir / f"seed_{seed}",
              None if i else out_dir / "dataset_snapshot.csv")
@@ -115,11 +147,11 @@ def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
             raise ConfigurationError(f"seed {seed}: a run has no evaluation points")
     for seed, metrics in zip(cfg.seeds, runs):
         flag = " [diverged]" if metrics.diverged else ""
-        best = min(metrics.eval_errors) if metrics.eval_errors else float("nan")
-        print(
-            f"seed {seed}: {metrics.total_backprops} backprops, "
-            f"best test error {best:.4f}{flag}"
-        )
+        # only a diverged run gets here without evaluations, and it stopped at
+        # the update it diverged at, one update per emitted batch
+        result = (f"best test error {min(metrics.eval_errors):.4f}" if metrics.eval_errors
+                  else f"no evaluation before update {metrics.num_iterations}")
+        print(f"seed {seed}: {metrics.total_backprops} backprops, {result}{flag}")
     return 1 if any(m.diverged for m in runs) else 0
 
 
@@ -137,8 +169,7 @@ def _aggregate(runs, where: str):
 
 def cmd_benchmark(cfg: BenchmarkConfig, out_dir: Path, threads: int) -> int:
     """Uniform baseline first, then every variant against it, per grid cell."""
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "resolved_config.json").write_text(resolved_config_json(cfg))
+    _start_output(cfg, out_dir)
     baseline_cfg = PrioritizerConfig(kind="uniform")
     trained = [(baseline_cfg, "uniform_baseline")] + [
         (v, v.label()) for v in cfg.variants if v.kind != "uniform"

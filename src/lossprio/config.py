@@ -200,7 +200,12 @@ def _check_selector(prio: PrioritizerConfig, batch_size: int, context: str) -> N
 
 
 def _parse_json(path) -> dict:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (IsADirectoryError, PermissionError) as exc:
+        raise ConfigurationError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: byte {exc.start} is not UTF-8") from None
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -131,7 +131,7 @@ class CorruptionSpec:
 def check_synthetic(split_sizes: dict, num_classes, feature_dim, cluster_spread) -> None:
     """Reject a synthetic task with fewer than 2 classes or features, a split
     (split_sizes maps field names to sizes) without one example per class, or
-    a spread that is not positive."""
+    a spread that is not positive and finite."""
     if num_classes < 2:
         raise ConfigurationError(f"num_classes {num_classes}: need at least 2 classes")
     if feature_dim < 2:
@@ -141,6 +141,8 @@ def check_synthetic(split_sizes: dict, num_classes, feature_dim, cluster_spread)
             raise ConfigurationError(f"{name} {size} smaller than num_classes {num_classes}")
     if not cluster_spread > 0:
         raise ConfigurationError(f"cluster_spread {cluster_spread}: must be positive")
+    if cluster_spread == math.inf:
+        raise ConfigurationError(f"cluster_spread {cluster_spread}: must be finite")
 
 
 def generate_synthetic_pair(

@@ -10,8 +10,11 @@ axis for every speedup number.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -80,6 +83,19 @@ class RunMetrics:
         return "ok" if self.eval_errors else "no_eval"
 
 
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+# Whether this process has a core to spare, so run_training evaluates on a
+# helper thread.  A direct library call runs in one process; cli._run_seeds
+# sets this from the number of processes it runs at once.
+_spare_core = _usable_cores() > 1
+
+
 def evaluate_error(params, features, labels, workspace: Workspace | None = None) -> float:
     """Fraction of examples misclassified, EVAL_CHUNK rows per forward; a
     workspace must hold that many rows, and a call given none makes one."""
@@ -93,6 +109,79 @@ def evaluate_error(params, features, labels, workspace: Workspace | None = None)
         result = forward(params, features[start:stop], labels[start:stop], workspace)
         wrong += int((result.predictions != labels[start:stop]).sum())
     return wrong / n
+
+
+def _error_or_none(params, features, labels, workspace) -> float | None:
+    """evaluate_error, or None when a forward overflows."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return evaluate_error(params, features, labels, workspace=workspace)
+    except FloatingPointError:
+        return None
+
+
+class _Evaluations:
+    """A run's test error at each evaluation point, recorded into its metrics.
+
+    Given the run's workspace, each evaluation runs at once on the run's own
+    parameters.  Given none, one helper thread evaluates a copy of them, in a
+    workspace of its own, while the run trains on; the result is recorded
+    when the next copy is handed off or the run finishes, at the iteration it
+    was taken.  An evaluation that overflows rolls the run back to its
+    update, as if the run had stopped there, and raises TrainingDivergedError.
+    """
+
+    def __init__(self, params, test_feats, test_labels, metrics: RunMetrics,
+                 batch_log: list | None, workspace: Workspace | None):
+        self.live, self.metrics, self.log = params, metrics, batch_log
+        self.log_start = 0 if batch_log is None else len(batch_log)
+        self.test = (test_feats, test_labels)
+        self.pending = None  # (iteration, future) of the evaluation in flight
+        if workspace is None:
+            self.params, self.picks = params.copy(), metrics.picks.copy()
+            workspace = Workspace(self.params, min(len(test_labels), EVAL_CHUNK))
+            self.pool = ThreadPoolExecutor(1, thread_name_prefix="lossprio-eval")
+        else:
+            self.params, self.picks, self.pool = params, metrics.picks, None
+        self.workspace = workspace
+
+    def hand_off(self) -> None:
+        """Evaluate the parameters as they stand after the last emitted batch."""
+        self.collect()
+        it = self.metrics.num_iterations - 1
+        args = (self.params, *self.test, self.workspace)
+        if self.pool is None:
+            self._record(it, _error_or_none(*args))
+        else:
+            np.copyto(self.params.vector, self.live.vector)
+            np.copyto(self.picks, self.metrics.picks)
+            self.pending = (it, self.pool.submit(_error_or_none, *args))
+
+    def collect(self) -> None:
+        """Record the evaluation in flight, if there is one."""
+        if self.pending is not None:
+            (it, future), self.pending = self.pending, None
+            self._record(it, future.result())
+
+    def _record(self, it: int, err: float | None) -> None:
+        m = self.metrics
+        if err is None:
+            for series in (m.backprops_series, m.corrupted_frac_series, m.gate_on_series):
+                if series is not None:
+                    del series[it + 1 :]
+            if self.log is not None:
+                del self.log[self.log_start + it + 1 :]
+            np.copyto(m.picks, self.picks)
+            np.copyto(self.live.vector, self.params.vector)
+            # one update per emitted batch, so it + 1 updates were made
+            raise TrainingDivergedError("overflow while evaluating", iteration=it + 1)
+        m.eval_iterations.append(it)
+        m.eval_errors.append(err)
+
+    def close(self) -> None:
+        """Wait for the evaluation in flight, unrecorded, and stop the helper."""
+        if self.pool is not None:
+            self.pool.shutdown()
 
 
 def run_training(
@@ -110,7 +199,9 @@ def run_training(
     Candidate batches all have exactly batch_size examples; the trailing
     remainder of each shuffled epoch is skipped so prioritizers never see a
     partial batch.  On divergence the partial metrics are returned with
-    the diverged flag set instead of raising.
+    the diverged flag set instead of raising.  When this process has a core
+    to spare, test error is taken on one helper thread while training goes
+    on; every output is the same either way.
     """
     if train.num_classes != test.num_classes or train.feature_dim != test.feature_dim:
         raise ConfigurationError("train and test splits disagree on classes or width")
@@ -130,7 +221,8 @@ def run_training(
     arch = [train.feature_dim, *trainer_cfg.hidden_layers, train.num_classes]
     params = init_params(arch, rng)
     state = init_sgd_state(params)
-    workspace = Workspace(params, max(batch, min(len(test), EVAL_CHUNK)))
+    helper = _spare_core
+    workspace = Workspace(params, batch if helper else max(batch, min(len(test), EVAL_CHUNK)))
     prio = make_prioritizer(prio_cfg, batch)
 
     metrics = RunMetrics(
@@ -140,51 +232,51 @@ def run_training(
     )
     next_eval = eval_every
     batches_per_epoch = len(train) // batch
+    evaluations = _Evaluations(params, test_feats, test_labels, metrics, batch_log,
+                               None if helper else workspace)
 
     try:
-        for epoch in range(trainer_cfg.total_epochs):
-            lr = learning_rate_at(epoch / trainer_cfg.total_epochs, trainer_cfg)
-            order = rng.permutation(len(train))
-            for k in range(batches_per_epoch):
-                rows = order[k * batch : (k + 1) * batch]
-                losses = probabilities = None
-                # without a scoring forward, sgd_step's finite check still
-                # stops a divergent run at this update
-                if prio.needs_scores:
-                    scored = forward(params, *workspace.gather(feats, labels, rows),
-                                     workspace)
-                    if not np.isfinite(scored.losses).all():
-                        raise TrainingDivergedError(
-                            "non-finite loss while scoring", iteration=state.updates
-                        )
-                    losses, probabilities = scored.losses, scored.probabilities
-                # an example's id is its row
-                for chosen, gate_on in prio.feed(rows, losses, probabilities):
-                    sgd_step(params, *workspace.gather(feats, labels, chosen),
-                             trainer_cfg, state, lr, workspace)
-                    np.add.at(metrics.picks, chosen, 1)
-                    metrics.backprops_series.append(state.backprops)
-                    metrics.corrupted_frac_series.append(float(mask[chosen].mean()))
-                    if gate_on is not None:
-                        metrics.gate_on_series.append(int(gate_on))
-                    if batch_log is not None:
-                        batch_log.append(chosen.tolist())
-                    if state.backprops >= next_eval:
-                        # finite parameters can still overflow a forward
-                        try:
-                            with np.errstate(over="raise", invalid="raise"):
-                                err = evaluate_error(params, test_feats, test_labels,
-                                                     workspace=workspace)
-                        except FloatingPointError:
+        # the finite checks below and the evaluations' own errstate catch every
+        # divergence, and a run may train on past an evaluation that ends it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(trainer_cfg.total_epochs):
+                lr = learning_rate_at(epoch / trainer_cfg.total_epochs, trainer_cfg)
+                order = rng.permutation(len(train))
+                for k in range(batches_per_epoch):
+                    rows = order[k * batch : (k + 1) * batch]
+                    losses = probabilities = None
+                    # without a scoring forward, sgd_step's finite check still
+                    # stops a divergent run at this update
+                    if prio.needs_scores:
+                        scored = forward(params, *workspace.gather(feats, labels, rows),
+                                         workspace)
+                        if not np.isfinite(scored.losses).all():
                             raise TrainingDivergedError(
-                                "overflow while evaluating", iteration=state.updates
-                            ) from None
-                        metrics.eval_iterations.append(metrics.num_iterations - 1)
-                        metrics.eval_errors.append(err)
-                        while next_eval <= state.backprops:
-                            next_eval += eval_every
+                                "non-finite loss while scoring", iteration=state.updates
+                            )
+                        losses, probabilities = scored.losses, scored.probabilities
+                    # an example's id is its row
+                    for chosen, gate_on in prio.feed(rows, losses, probabilities):
+                        sgd_step(params, *workspace.gather(feats, labels, chosen),
+                                 trainer_cfg, state, lr, workspace)
+                        np.add.at(metrics.picks, chosen, 1)
+                        metrics.backprops_series.append(state.backprops)
+                        metrics.corrupted_frac_series.append(float(mask[chosen].mean()))
+                        if gate_on is not None:
+                            metrics.gate_on_series.append(int(gate_on))
+                        if batch_log is not None:
+                            batch_log.append(chosen.tolist())
+                        if state.backprops >= next_eval:
+                            evaluations.hand_off()
+                            while next_eval <= state.backprops:
+                                next_eval += eval_every
+            evaluations.collect()
     except TrainingDivergedError:
         metrics.diverged = True
+        with contextlib.suppress(TrainingDivergedError):
+            evaluations.collect()  # one in flight may end the run at an earlier update
+    finally:
+        evaluations.close()
 
     if checkpoint_path is not None:
         save_checkpoint(params, checkpoint_path)

@@ -31,12 +31,15 @@ class TrainerConfig:
     def __post_init__(self):
         object.__setattr__(self, "lr_drop_points", tuple(self.lr_drop_points))
         object.__setattr__(self, "hidden_layers", tuple(self.hidden_layers))
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ConfigurationError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ConfigurationError("weight_decay must be nonnegative")
+        for name in ("learning_rate", "weight_decay"):
+            if getattr(self, name) == math.inf:
+                raise ConfigurationError(f"{name} must be finite")
         if not 0.0 < self.lr_drop_factor <= 1.0:
             raise ConfigurationError("lr_drop_factor must lie in (0, 1]")
         pts = self.lr_drop_points

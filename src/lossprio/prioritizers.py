@@ -23,6 +23,7 @@ Four kinds exist:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,14 +48,17 @@ class PrioritizerConfig:
             raise ConfigurationError(
                 f"unknown prioritizer kind {self.kind!r}; expected one of {PRIORITIZER_KINDS}"
             )
-        if self.beta < 0:
+        if not self.beta >= 0:
             raise ConfigurationError("beta must be nonnegative")
         if self.histogram_capacity < 1:
             raise ConfigurationError("histogram_capacity must be positive")
         if self.pool_capacity is not None and self.pool_capacity < 1:
             raise ConfigurationError("pool_capacity must be positive")
-        if self.gate_threshold < 0:
+        if not self.gate_threshold >= 0:
             raise ConfigurationError("gate_threshold must be nonnegative")
+        for name in ("beta", "gate_threshold"):
+            if getattr(self, name) == math.inf:
+                raise ConfigurationError(f"{name} must be finite")
 
     def label(self) -> str:
         """Short name used in benchmark summaries."""

@@ -4,6 +4,7 @@ import hashlib
 import json
 import multiprocessing.process
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 import lossprio
-from lossprio import cli, selftest
+from lossprio import cli, harness, selftest
 from lossprio.cli import _format_speedup, _parse_seeds, main
 from lossprio.errors import ConfigurationError
 
@@ -176,6 +177,45 @@ class TestTrainCommand:
         path.write_text('{\n  "seeds": [1,]\n}\n')
         assert main(["train", "--config", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    # each of these used to end in a traceback
+    @pytest.mark.parametrize("case, where", [
+        ("config is a directory", r"error: (?P<path>\S+): Is a directory\n\Z"),
+        ("config is not UTF-8", r"error: (?P<path>\S+): byte 15 is not UTF-8\n\Z"),
+        ("out under a file", r"error: output directory (?P<path>\S+): Not a directory\n\Z"),
+        ("out is a file", r"error: output directory (?P<path>\S+): File exists\n\Z"),
+    ])
+    def test_unusable_path_exits_two_naming_it(self, tmp_path, capsys, case, where):
+        cfg, out = write_config(tmp_path, SMALL_EXPERIMENT), tmp_path / "o"
+        if case == "config is a directory":
+            cfg = tmp_path / "dir.json"
+            cfg.mkdir()
+        elif case == "config is not UTF-8":
+            cfg.write_bytes(b'{"seeds": [1, "\xe9"]}')
+        else:
+            (tmp_path / "file").write_text("")
+            out = tmp_path / "file" / "o" if case == "out under a file" else tmp_path / "file"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        match = re.match(where, err)
+        assert match, err
+        assert match["path"] == str(cfg if case.startswith("config") else out)
+
+    def test_seed_diverged_before_any_evaluation_prints_its_update(self, tmp_path, capsys):
+        # the first update leaves every parameter finite but the evaluation
+        # after it overflows; this used to print "best test error nan"
+        cfg = write_config(tmp_path, {
+            "dataset": {"num_train": 600, "num_test": 120, "num_classes": 4,
+                        "feature_dim": 8, "seed": 1, "cluster_spread": 1000},
+            "trainer": {"learning_rate": 1e307, "hidden_layers": [16]},
+            "prioritizer": {"kind": "sb_loss", "seed": 100},
+            "seeds": [1],
+            "eval_every": 128,
+        })
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "seed 1: 128 backprops, no evaluation before update 1 [diverged]\n"
+        assert captured.err == ""
 
     def test_bad_seed_flag_exits_two(self, tmp_path, capsys):
         cfg = write_config(tmp_path, SMALL_EXPERIMENT)
@@ -424,6 +464,49 @@ class TestRunsAcrossProcesses:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: a worker process died before returning its runs ("), err
+
+
+def test_blas_threads_do_not_change_bytes_at_mnist_width(tmp_path):
+    """With no BLAS variable set, a 784-wide run writes the same bytes at
+    --threads 1 as in the workers of --threads 2.  Two OpenBLAS threads give
+    other bytes at an inner dimension of 784, so this fails unless the program
+    pins BLAS itself; on a host with one usable core it cannot fail."""
+    cfg = write_config(tmp_path, {
+        "dataset": {"num_train": 768, "num_test": 200, "feature_dim": 784, "seed": 2},
+        "trainer": {"total_epochs": 2, "hidden_layers": [256]},
+        "seeds": [1, 2],
+        "eval_every": 256,
+    })
+    src = str(Path(lossprio.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = src
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        subprocess.run([sys.executable, "-m", "lossprio.cli", "train", "--config", str(cfg),
+                        "--out", str(out), "--threads", threads],
+                       env=env, capture_output=True, timeout=300, check=True)
+        trees.append(tree_digest(out, ""))
+    assert trees[0] == trees[1]
+
+
+@pytest.mark.parametrize("cores, threads, spare", [(1, "1", False), (2, "1", True),
+                                                   (2, "2", False), (4, "2", True)])
+def test_runs_evaluate_on_a_helper_only_while_a_core_is_spare(tmp_path, monkeypatch, cores,
+                                                              threads, spare):
+    seen = []
+    run_training = cli.run_training
+    monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(cli, "run_training",
+                        lambda *a, **k: seen.append(harness._spare_core) or run_training(*a, **k))
+    monkeypatch.setattr(Future, "cancel", lambda self: True)  # every run in this process
+    before = harness._spare_core
+    cfg = write_config(tmp_path, SMALL_EXPERIMENT)  # two seeds
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--threads", threads]) == 0
+    assert seen == [spare, spare]
+    assert harness._spare_core == before
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

@@ -1,6 +1,7 @@
 """JSON config parsing, resolution, and dataset materialization."""
 
 import json
+import math
 import re
 
 import pytest
@@ -140,6 +141,29 @@ class TestExperimentParsing:
              r"json\.variants\[0\]: pool_capacity must be positive\n\Z"),
             ("benchmark", {"variants": [{"kind": "vr", "gate_threshold": -1}]},
              r"json\.variants\[0\]: gate_threshold must be nonnegative\n\Z"),
+            # json reads NaN and Infinity, and a check written x < 0 passes NaN:
+            # "beta": NaN used to admit every candidate and exit 0, with NaN
+            # written into resolved_config.json
+            ("train", {"prioritizer": {"kind": "sb_loss", "beta": math.nan}},
+             r"json\.prioritizer: beta must be nonnegative\n\Z"),
+            ("benchmark", {"variants": [{"kind": "sb_loss", "beta": math.inf}]},
+             r"json\.variants\[0\]: beta must be finite\n\Z"),
+            ("train", {"prioritizer": {"kind": "vr", "gate_threshold": math.nan}},
+             r"json\.prioritizer: gate_threshold must be nonnegative\n\Z"),
+            ("train", {"prioritizer": {"kind": "vr", "gate_threshold": math.inf}},
+             r"json\.prioritizer: gate_threshold must be finite\n\Z"),
+            ("train", {"trainer": {"learning_rate": math.nan}},
+             r"json\.trainer: learning_rate must be positive\n\Z"),
+            ("benchmark", {"trainer": {"learning_rate": math.inf}},
+             r"json\.trainer: learning_rate must be finite\n\Z"),
+            ("train", {"trainer": {"weight_decay": math.nan}},
+             r"json\.trainer: weight_decay must be nonnegative\n\Z"),
+            ("train", {"trainer": {"weight_decay": math.inf}},
+             r"json\.trainer: weight_decay must be finite\n\Z"),
+            ("train", {"dataset": {"cluster_spread": math.nan}},
+             r"json\.dataset: cluster_spread nan: must be positive\n\Z"),
+            ("benchmark", {"dataset": {"cluster_spread": math.inf}},
+             r"json\.dataset: cluster_spread inf: must be finite\n\Z"),
         ],
     )
     def test_malformed_config_exits_two_with_location(self, tmp_path, capsys, command, raw,

@@ -2,10 +2,13 @@
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import statistics
 import sys
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -503,3 +506,110 @@ def test_repeated_run_reuses_its_buffers():
     run_training(train, test, cfg.trainer, prio, cfg.eval_every)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 5000, faults
+
+
+def overflow_case():
+    """After its first update every parameter is finite, but the evaluation
+    after it overflows (test_overflow_while_evaluating_is_divergence)."""
+    train, test = generate_synthetic_pair(600, 120, num_classes=4, feature_dim=8, seed=1,
+                                          cluster_spread=1000)
+    return (train, test, TrainerConfig(learning_rate=1e307, hidden_layers=(16,), seed=1),
+            PrioritizerConfig(kind="sb_loss", seed=101), 128)
+
+
+def helper_cases():
+    train, test = tiny_pair(num_train=600)
+    train = apply_corruption(train, CorruptionSpec(kind="random_label", fraction=0.3, seed=7))
+    wild = tiny_trainer(learning_rate=1e160, weight_decay=1e160, momentum=0.0)
+    return {
+        "uniform": (train, test, tiny_trainer(), PrioritizerConfig(kind="uniform", seed=1), 64),
+        "sb_entropy": (train, test, tiny_trainer(),
+                       PrioritizerConfig(kind="sb_entropy", seed=1), 32),
+        "vr": (train, test, tiny_trainer(),
+               PrioritizerConfig(kind="vr", pool_capacity=80, gate_threshold=0.05, seed=1), 64),
+        # an evaluation is in flight when the next update diverges
+        "wild": (train, test, wild, PrioritizerConfig(kind="uniform", seed=1), 32),
+        "overflow": overflow_case(),
+    }
+
+
+def run_on(helper, case, tmp_path, monkeypatch):
+    """Everything a run returns and writes, with or without the helper thread."""
+    monkeypatch.setattr(harness, "_spare_core", helper)
+    train, test, trainer, prio, eval_every = case
+    log, path = [], tmp_path / f"model_{helper}.npz"
+    m = run_training(train, test, trainer, prio, eval_every, batch_log=log,
+                     checkpoint_path=path)
+    return ([m.seed, m.backprops_series, m.corrupted_frac_series, m.gate_on_series,
+             m.eval_iterations, m.eval_errors, m.picks.tolist(), m.diverged],
+            log, path.read_bytes())
+
+
+def eval_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("lossprio-eval")]
+
+
+@pytest.mark.parametrize("name", list(helper_cases()))
+def test_helper_thread_gives_the_serial_run(name, tmp_path, monkeypatch, capfd):
+    case = helper_cases()[name]
+    assert run_on(True, case, tmp_path, monkeypatch) == run_on(False, case, tmp_path,
+                                                               monkeypatch)
+    assert eval_threads() == []
+    assert capfd.readouterr().err == ""  # no overflow warning from either thread
+
+
+def test_late_overflow_rolls_the_run_back_to_its_evaluation(tmp_path, monkeypatch):
+    # the third evaluation overflows while the run trains on for a while
+    # past it: the run ends there, as it does without the helper
+    evaluate, calls = harness.evaluate_error, []
+
+    def third_overflows(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            time.sleep(0.2)
+            raise FloatingPointError("overflow encountered in matmul")
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate_error", third_overflows)
+    case = helper_cases()["vr"]
+    helped = run_on(True, case, tmp_path, monkeypatch)
+    calls.clear()
+    assert helped == run_on(False, case, tmp_path, monkeypatch)
+    metrics, log, _ = helped
+    # diverged at the third evaluation's batch, two batches of 32 after the second
+    assert metrics[-1] and len(metrics[4]) == 2
+    assert len(log) == len(metrics[1]) == metrics[4][-1] + 3
+
+
+def test_helper_stops_when_the_loop_raises(monkeypatch):
+    # a feed that raises while an evaluation is in flight leaves no thread behind
+    evaluate = harness.evaluate_error
+    monkeypatch.setattr(harness, "evaluate_error",
+                        lambda *a, **k: time.sleep(0.05) or evaluate(*a, **k))
+    make = harness.make_prioritizer
+
+    def failing_selector(cfg, batch_size):
+        prio, calls = make(cfg, batch_size), itertools.count()
+        feed = prio.feed
+        prio.feed = lambda *a: feed(*a) if next(calls) < 5 else 1 / 0
+        return prio
+
+    monkeypatch.setattr(harness, "make_prioritizer", failing_selector)
+    monkeypatch.setattr(harness, "_spare_core", True)
+    train, test, trainer, prio, _ = helper_cases()["uniform"]
+    with pytest.raises(ZeroDivisionError):
+        run_training(train, test, trainer, prio, eval_every=32)
+    assert eval_threads() == []
+
+
+def test_helper_holds_under_constant_thread_switches(tmp_path, monkeypatch):
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for name, case in helper_cases().items():
+            serial = run_on(False, case, tmp_path, monkeypatch)
+            for _ in range(3):
+                assert run_on(True, case, tmp_path, monkeypatch) == serial, name
+    finally:
+        sys.setswitchinterval(interval)
+    assert eval_threads() == []
