@@ -76,11 +76,16 @@ def _run_job(job: _Job, cells: dict | None = None):
     return metrics
 
 
-def _start_process(spare_core: bool) -> None:
-    """Ready this process, or a spawned worker, to run jobs: say whether it
-    has a core to spare, and run numpy's bundled OpenBLAS on one thread, so no
-    job's bytes depend on the cores it finds (a numpy without it is left as is)."""
-    harness._spare_core = spare_core
+_worker_claims = None  # a spawned worker's view of its _run_seeds' claims
+
+
+def _start_process(spare_core: bool, claims=None) -> None:
+    """Ready this process, or a spawned worker given its claims, to run jobs:
+    say whether it has a core to spare, and run numpy's bundled OpenBLAS on
+    one thread, so no job's bytes depend on the cores it finds (a numpy
+    without it is left as is)."""
+    global _worker_claims
+    harness._spare_core, _worker_claims = spare_core, claims
     site = Path(np.__file__).resolve().parent.parent
     for lib in [*site.glob("numpy.libs/*scipy_openblas64_*"),
                 *site.glob("numpy/.dylibs/*scipy_openblas64_*")]:
@@ -93,27 +98,42 @@ def _start_process(spare_core: bool) -> None:
         return
 
 
+def _claim(claims, i: int) -> bool:
+    """Take job i, one flag of the shared claims, unless another process took it first."""
+    with claims.get_lock():
+        free, claims[i] = not claims[i], 1
+    return free
+
+
+def _run_unclaimed(i: int, job: _Job):
+    """A worker's RunMetrics for job i, or None if the calling process took it."""
+    return _run_job(job) if _claim(_worker_claims, i) else None
+
+
 def _run_seeds(jobs: list[_Job], threads: int) -> list:
     """Every job's RunMetrics in job order, from this process and threads - 1 workers.
 
     Spawned workers, always fewer than the jobs, take jobs from the front of
-    the list; this process walks it from the back and runs each job it can
-    still cancel.  The first exception in job order is raised.  Each process
-    runs BLAS on one thread, and evaluates on a helper thread only while the
-    processes leave a core spare.  perfbench's span probes patch this
-    function by name.
+    the list; this process walks it from the back and runs each job that is
+    still queued for the workers and that it claims first.  No future is
+    ever cancelled, so a worker that dies can fail each one its pool holds.
+    The first exception in job order is raised.  Each process runs BLAS on
+    one thread, and evaluates on a helper thread only while the processes
+    leave a core spare.  perfbench's span probes patch this function by name.
     """
     processes = min(threads, len(jobs))
     spare_core, before = processes < harness._usable_cores(), harness._spare_core
+    context = get_context("spawn")
+    claims = context.Array("b", len(jobs)) if processes > 1 else None
     _start_process(spare_core)
-    pool = ProcessPoolExecutor(processes - 1, mp_context=get_context("spawn"),
-                               initializer=_start_process,
-                               initargs=(spare_core,)) if processes > 1 else None
+    pool = ProcessPoolExecutor(processes - 1, mp_context=context, initializer=_start_process,
+                               initargs=(spare_core, claims)) if processes > 1 else None
     cells: dict = {}
     try:
-        futures = [pool.submit(_run_job, job) if pool else Future() for job in jobs]
+        futures = [pool.submit(_run_unclaimed, i, job) if pool else Future()
+                   for i, job in enumerate(jobs)]
         for i in reversed(range(len(jobs))):
-            if futures[i].cancel():
+            if pool is None or (not futures[i].running() and _claim(claims, i)):
                 futures[i] = Future()
                 try:
                     futures[i].set_result(_run_job(jobs[i], cells))
@@ -123,7 +143,8 @@ def _run_seeds(jobs: list[_Job], threads: int) -> list:
     finally:
         harness._spare_core = before
         if pool is not None:
-            pool.shutdown(cancel_futures=True)  # after an interrupt, start no queued job
+            claims[:] = [1] * len(jobs)  # after an interrupt, no worker starts a job
+            pool.shutdown()
 
 
 def _start_output(cfg, out_dir: Path) -> None:
@@ -183,6 +204,12 @@ def cmd_benchmark(cfg: BenchmarkConfig, out_dir: Path, threads: int) -> int:
         for j, seed in enumerate(cfg.seeds)
     ]
     all_runs = _run_seeds(jobs, threads)
+    for job, metrics in zip(jobs, all_runs):
+        if metrics.diverged and not metrics.eval_errors:  # a run failure, not bad input
+            cell, variant = job.run_dir.parts[-3:-1]  # out_dir / cell / variant / seed_<n>
+            print(f"error: {cell} {variant} seed {job.seed}: no evaluation before update "
+                  f"{metrics.num_iterations} [diverged]", file=sys.stderr)
+            return 1
     results = iter(all_runs)
     summary_rows = []
 
@@ -190,7 +217,7 @@ def cmd_benchmark(cfg: BenchmarkConfig, out_dir: Path, threads: int) -> int:
         cell = f"{kind}_{fraction:g}"
         cell_dir = out_dir / cell
         base_runs = [next(results) for _ in cfg.seeds]
-        base_agg = _aggregate(base_runs, f"{cell} {baseline_cfg.label()}")
+        base_agg = _aggregate(base_runs, f"{cell} uniform_baseline")
 
         for variant in cfg.variants:
             name = variant.label()

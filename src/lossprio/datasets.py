@@ -13,7 +13,7 @@ import contextlib
 import csv
 import math
 import struct
-import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -208,8 +208,8 @@ def _drawing(rng, feats):
     An array of _THREAD_BYTES or more is drawn on a helper thread, one block
     at a time (the bytes of one draw over the whole array), while the caller
     works on the blocks returned so far.  A failed draw raises its exception
-    from the iterator.  However the with block is left, the helper stops at
-    its next block and is joined before the with statement ends.  A smaller
+    from the iterator.  However the with block is left, the helper starts no
+    further block and is joined before the with statement ends.  A smaller
     array is drawn here in one call before the iterator is yielded.
     """
     blocks = list(_row_chunks(*feats.shape))
@@ -217,33 +217,14 @@ def _drawing(rng, feats):
         rng.standard_normal(out=feats)
         yield iter(blocks)
         return
-    drawn, stop, failure = threading.Semaphore(0), threading.Event(), []
-
-    def draw():
-        try:
-            for lo, hi in blocks:
-                if stop.is_set():
-                    return
-                rng.standard_normal(out=feats[lo:hi])
-                drawn.release()
-        except BaseException as exc:  # re-raised on the calling thread
-            failure.append(exc)
-            drawn.release()
-
-    def drawn_blocks():
-        for block in blocks:
-            drawn.acquire()
-            if failure:
-                raise failure[0]
-            yield block
-
-    helper = threading.Thread(target=draw, name="lossprio-draw")
-    helper.start()
+    helper = ThreadPoolExecutor(1, thread_name_prefix="lossprio-draw")
     try:
-        yield drawn_blocks()
+        draws = [helper.submit(rng.standard_normal, out=feats[lo:hi]) for lo, hi in blocks]
+        # zip takes each draw's result, which raises a failed draw's exception,
+        # before it returns that draw's block
+        yield (block for block, _ in zip(blocks, map(Future.result, draws)))
     finally:
-        stop.set()
-        helper.join()
+        helper.shutdown(cancel_futures=True)
 
 
 def load_idx_images(

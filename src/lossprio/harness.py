@@ -92,7 +92,11 @@ def _usable_cores() -> int:
 
 # Whether this process has a core to spare, so run_training evaluates on a
 # helper thread.  A direct library call runs in one process; cli._run_seeds
-# sets this from the number of processes it runs at once.
+# sets this from the number of processes it runs at once.  Without a spare
+# core, evaluation stays inline on the live parameters: with the helper forced
+# on in every process, a 2-core `benchmark --threads 2` grid trained vr 6.7%
+# slower (median of 5 pairs), and copying the parameters for an inline
+# evaluation cost uniform, sb_loss and sb_entropy 1-5.5%.
 _spare_core = _usable_cores() > 1
 
 
@@ -123,39 +127,38 @@ def _error_or_none(params, features, labels, workspace) -> float | None:
 class _Evaluations:
     """A run's test error at each evaluation point, recorded into its metrics.
 
-    Given the run's workspace, each evaluation runs at once on the run's own
-    parameters.  Given none, one helper thread evaluates a copy of them, in a
-    workspace of its own, while the run trains on; the result is recorded
-    when the next copy is handed off or the run finishes, at the iteration it
-    was taken.  An evaluation that overflows rolls the run back to its
-    update, as if the run had stopped there, and raises TrainingDivergedError.
+    Evaluations take a workspace of their own.  When this process has a core
+    to spare, one helper thread evaluates a copy of the parameters while the
+    run trains on; the result is recorded when the next copy is handed off or
+    the run finishes, at the iteration it was taken.  Otherwise each
+    evaluation runs at once on the run's own parameters.  An evaluation that
+    overflows rolls the run back to its update, as if the run had stopped
+    there, and raises TrainingDivergedError.
     """
 
     def __init__(self, params, test_feats, test_labels, metrics: RunMetrics,
-                 batch_log: list | None, workspace: Workspace | None):
+                 batch_log: list | None):
         self.live, self.metrics, self.log = params, metrics, batch_log
         self.log_start = 0 if batch_log is None else len(batch_log)
-        self.test = (test_feats, test_labels)
         self.pending = None  # (iteration, future) of the evaluation in flight
-        if workspace is None:
+        if _spare_core:
             self.params, self.picks = params.copy(), metrics.picks.copy()
-            workspace = Workspace(self.params, min(len(test_labels), EVAL_CHUNK))
             self.pool = ThreadPoolExecutor(1, thread_name_prefix="lossprio-eval")
         else:
             self.params, self.picks, self.pool = params, metrics.picks, None
-        self.workspace = workspace
+        self.args = (self.params, test_feats, test_labels,
+                     Workspace(params, min(len(test_labels), EVAL_CHUNK)))
 
     def hand_off(self) -> None:
         """Evaluate the parameters as they stand after the last emitted batch."""
         self.collect()
         it = self.metrics.num_iterations - 1
-        args = (self.params, *self.test, self.workspace)
         if self.pool is None:
-            self._record(it, _error_or_none(*args))
+            self._record(it, _error_or_none(*self.args))
         else:
             np.copyto(self.params.vector, self.live.vector)
             np.copyto(self.picks, self.metrics.picks)
-            self.pending = (it, self.pool.submit(_error_or_none, *args))
+            self.pending = (it, self.pool.submit(_error_or_none, *self.args))
 
     def collect(self) -> None:
         """Record the evaluation in flight, if there is one."""
@@ -221,8 +224,7 @@ def run_training(
     arch = [train.feature_dim, *trainer_cfg.hidden_layers, train.num_classes]
     params = init_params(arch, rng)
     state = init_sgd_state(params)
-    helper = _spare_core
-    workspace = Workspace(params, batch if helper else max(batch, min(len(test), EVAL_CHUNK)))
+    workspace = Workspace(params, batch)
     prio = make_prioritizer(prio_cfg, batch)
 
     metrics = RunMetrics(
@@ -232,8 +234,7 @@ def run_training(
     )
     next_eval = eval_every
     batches_per_epoch = len(train) // batch
-    evaluations = _Evaluations(params, test_feats, test_labels, metrics, batch_log,
-                               None if helper else workspace)
+    evaluations = _Evaluations(params, test_feats, test_labels, metrics, batch_log)
 
     try:
         # the finite checks below and the evaluations' own errstate catch every

@@ -323,14 +323,3 @@ def save_checkpoint(params: ModelParams, path) -> None:
         arrays[f"b{i}"] = b
     np.savez(path, **arrays)
 
-
-def load_checkpoint(path) -> ModelParams:
-    with np.load(path) as data:
-        arch = data["architecture"]
-        n_layers = len(arch) - 1
-        weights = [data[f"w{i}"] for i in range(n_layers)]
-        biases = [data[f"b{i}"] for i in range(n_layers)]
-    params = ModelParams(weights, biases)
-    if params.architecture != [int(a) for a in arch]:
-        raise ConfigurationError("checkpoint arrays do not match stored architecture")
-    return params

@@ -16,6 +16,7 @@ import numpy as np
 from lossprio import prioritizers
 from lossprio.datasets import CorruptionKind
 from lossprio.errors import ConfigurationError
+from lossprio.model import ModelParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,3 +179,16 @@ class CandidateBuffer:
 
     def snapshot(self) -> list[int]:
         return list(self._queue)
+
+
+def load_checkpoint(path) -> ModelParams:
+    """The parameters model.save_checkpoint wrote to path."""
+    with np.load(path) as data:
+        arch = data["architecture"]
+        n_layers = len(arch) - 1
+        weights = [data[f"w{i}"] for i in range(n_layers)]
+        biases = [data[f"b{i}"] for i in range(n_layers)]
+    params = ModelParams(weights, biases)
+    if params.architecture != [int(a) for a in arch]:
+        raise ConfigurationError("checkpoint arrays do not match stored architecture")
+    return params

@@ -12,13 +12,14 @@ import time
 
 import numpy as np
 import pytest
+from reference import load_checkpoint
 from scipy import stats
 
 from lossprio import selftest
 from lossprio.cli import main
 from lossprio.datasets import CorruptionSpec, apply_corruption, generate_synthetic_pair
 from lossprio.harness import aggregate_seeds, compute_speedup, run_training
-from lossprio.model import TrainerConfig, load_checkpoint
+from lossprio.model import TrainerConfig
 from lossprio.prioritizers import PrioritizerConfig
 
 SEEDS = (1, 2, 3, 4, 5)

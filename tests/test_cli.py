@@ -7,7 +7,9 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from concurrent.futures import Future
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -272,6 +274,26 @@ class TestBenchmarkCommand:
         err = capsys.readouterr().err
         assert err == "error: none_0 sb_loss_b1: a run has no evaluation points\n"
 
+    def test_seed_diverged_before_any_evaluation_exits_one_naming_its_directory(
+            self, tmp_path, capsys):
+        # the late-divergence task: every seed overflows at its first
+        # evaluation, so no cell has a curve; this used to exit 2 as bad input
+        cfg = write_config(tmp_path, {
+            "dataset": {"num_train": 600, "num_test": 120, "num_classes": 4,
+                        "feature_dim": 8, "seed": 1, "cluster_spread": 1000},
+            "trainer": {"learning_rate": 1e307, "batch_size": 32, "hidden_layers": [16]},
+            "variants": [{"kind": "sb_loss", "beta": 1}],
+            "corruption_grid": [["none", 0.0]],
+            "seeds": [1, 2],
+            "eval_every": 128,
+        })
+        code = main(["benchmark", "--config", str(cfg), "--out", str(tmp_path / "bench")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: none_0 uniform_baseline seed 1: no evaluation before "
+                                "update 1 [diverged]\n")
+        assert captured.out == ""
+
     def test_snapshot_reflects_cell_corruption(self, tmp_path):
         cfg = write_config(tmp_path, SMALL_BENCHMARK)
         out = tmp_path / "bench"
@@ -358,7 +380,7 @@ def process_starts(monkeypatch):
 def where(request, monkeypatch):
     """Where runs may go: "worker" keeps the calling process from taking any."""
     if request.param == "worker":
-        monkeypatch.setattr(Future, "cancel", lambda self: False)
+        monkeypatch.setattr(cli, "_claim", lambda claims, i: False)
     return request.param
 
 
@@ -458,12 +480,32 @@ class TestRunsAcrossProcesses:
                 return os._exit, (3,)
 
         monkeypatch.setattr(cli, "_Job", DyingJob)
-        monkeypatch.setattr(Future, "cancel", lambda self: False)
+        monkeypatch.setattr(cli, "_claim", lambda claims, i: False)  # every run in the worker
         cfg = write_config(tmp_path, SMALL_EXPERIMENT)  # two seeds
         argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "2"]
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: a worker process died before returning its runs ("), err
+
+    def test_worker_that_dies_with_jobs_left_prints_only_the_error(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # this process takes the queued seeds from the back while the worker
+        # dies on seed 1; its pool then fails every future it holds, and used
+        # to trip over the ones this process had taken back with Future.cancel
+        class DyingJob(cli._Job):
+            def __reduce__(self):
+                return os._exit, (3,)
+
+        thread_failures = []
+        monkeypatch.setattr(threading, "excepthook", thread_failures.append)
+        monkeypatch.setattr(cli, "_Job", DyingJob)
+        cfg = write_config(tmp_path, dict(SMALL_EXPERIMENT, seeds=[1, 2, 3, 4]))
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "2"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died before returning its runs ("), err
+        assert err.count("\n") == 1, err
+        assert [str(failure.exc_value) for failure in thread_failures] == []
 
 
 def test_blas_threads_do_not_change_bytes_at_mnist_width(tmp_path):
@@ -495,18 +537,56 @@ def test_blas_threads_do_not_change_bytes_at_mnist_width(tmp_path):
                                                    (2, "2", False), (4, "2", True)])
 def test_runs_evaluate_on_a_helper_only_while_a_core_is_spare(tmp_path, monkeypatch, cores,
                                                               threads, spare):
-    seen = []
+    seen, workers = [], []
     run_training = cli.run_training
+
+    class IdlePool:  # records what its workers are told and runs nothing itself
+        def __init__(self, *args, initargs, **kwargs):
+            workers.append(initargs[0])
+
+        def submit(self, *args):
+            return Future()  # never running, so this process takes every run
+
+        def shutdown(self):
+            pass
+
     monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
     monkeypatch.setattr(cli, "run_training",
                         lambda *a, **k: seen.append(harness._spare_core) or run_training(*a, **k))
-    monkeypatch.setattr(Future, "cancel", lambda self: True)  # every run in this process
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", IdlePool)
     before = harness._spare_core
     cfg = write_config(tmp_path, SMALL_EXPERIMENT)  # two seeds
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--threads", threads]) == 0
     assert seen == [spare, spare]
+    assert workers == ([spare] if threads == "2" else [])
     assert harness._spare_core == before
+
+
+def test_each_job_is_claimed_once_under_constant_thread_switches():
+    # eight takers race for every claim from the same start, switching every
+    # microsecond: a claim read and set without the lock lets two take a job
+    interval = sys.getswitchinterval()
+    for _ in range(3):
+        claims = get_context("spawn").Array("b", 3000)
+        taken = [[] for _ in range(8)]
+        start = threading.Barrier(len(taken))
+
+        def take(mine):
+            start.wait()
+            mine.extend(i for i in range(3000) if cli._claim(claims, i))
+
+        takers = [threading.Thread(target=take, args=(mine,), daemon=True) for mine in taken]
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in takers:
+                thread.start()
+            for thread in takers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in takers)
+        assert sorted(i for mine in taken for i in mine) == list(range(3000))
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():

@@ -13,6 +13,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from reference import load_checkpoint
 
 from lossprio import harness, prioritizers
 from lossprio.config import build_datasets, experiment_config_from_dict
@@ -32,7 +33,7 @@ from lossprio.harness import (
     save_run,
     write_metrics_csv,
 )
-from lossprio.model import TrainerConfig, init_params, load_checkpoint
+from lossprio.model import TrainerConfig, init_params
 from lossprio.prioritizers import PrioritizerConfig
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import load_checkpoint
 
 from lossprio.errors import ConfigurationError, TrainingDivergedError
 from lossprio.model import (
@@ -16,7 +17,6 @@ from lossprio.model import (
     init_params,
     init_sgd_state,
     learning_rate_at,
-    load_checkpoint,
     prediction_entropy,
     save_checkpoint,
     sgd_step,
