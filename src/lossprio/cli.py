@@ -8,9 +8,9 @@ seeds produce byte-identical files and stdout regardless of --threads.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import os
+import signal
 import sys
 from collections import namedtuple
 from concurrent.futures import Future, ProcessPoolExecutor
@@ -30,9 +30,9 @@ from .config import (
     load_experiment_config,
     resolved_config_json,
 )
-from .datasets import CorruptionSpec, write_snapshot_csv
+from .datasets import CorruptionSpec
 from .errors import AggregationError, ConfigurationError, IngestionError
-from .harness import aggregate_seeds, compute_speedup, run_training, save_run
+from .harness import aggregate_seeds, compute_speedup, run_training, save_run, write_snapshot_csv
 from .prioritizers import PrioritizerConfig
 
 OUTPUT_ROOT_ENV = "LOSSPRIO_OUT"
@@ -63,7 +63,6 @@ def _run_job(job: _Job, cells: dict | None = None):
         cells["splits"] = build_datasets(job.cfg, job.corruption)
         cells["key"] = (job.cfg.dataset, job.corruption)
     train, test = cells["splits"]
-    job.run_dir.mkdir(parents=True, exist_ok=True)
     if job.snapshot is not None:
         write_snapshot_csv(train, job.snapshot)
     trainer = replace(job.cfg.trainer, seed=job.seed)
@@ -83,9 +82,13 @@ def _start_process(spare_core: bool, claims=None) -> None:
     """Ready this process, or a spawned worker given its claims, to run jobs:
     say whether it has a core to spare, and run numpy's bundled OpenBLAS on
     one thread, so no job's bytes depend on the cores it finds (a numpy
-    without it is left as is)."""
+    without it is left as is).  A worker ignores SIGINT: the calling process
+    alone answers an interrupt, by claiming every job and waiting for the
+    workers' runs in progress."""
     global _worker_claims
     harness._spare_core, _worker_claims = spare_core, claims
+    if claims is not None:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
     site = Path(np.__file__).resolve().parent.parent
     for lib in [*site.glob("numpy.libs/*scipy_openblas64_*"),
                 *site.glob("numpy/.dylibs/*scipy_openblas64_*")]:
@@ -110,6 +113,20 @@ def _run_unclaimed(i: int, job: _Job):
     return _run_job(job) if _claim(_worker_claims, i) else None
 
 
+def _submit(pool: ProcessPoolExecutor, jobs: list[_Job]) -> list[Future]:
+    """The pool's future of each job.  Its workers start here, with SIGINT
+    blocked as multiprocessing starts its resource tracker, so an interrupt
+    cannot reach one while it imports; one that comes meanwhile reaches this
+    process when the block ends."""
+    masked = hasattr(signal, "pthread_sigmask")  # not on Windows
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT}) if masked else None
+    try:
+        return [pool.submit(_run_unclaimed, i, job) for i, job in enumerate(jobs)]
+    finally:
+        if masked:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
 def _run_seeds(jobs: list[_Job], threads: int) -> list:
     """Every job's RunMetrics in job order, from this process and threads - 1 workers.
 
@@ -130,8 +147,7 @@ def _run_seeds(jobs: list[_Job], threads: int) -> list:
                                initargs=(spare_core, claims)) if processes > 1 else None
     cells: dict = {}
     try:
-        futures = [pool.submit(_run_unclaimed, i, job) if pool else Future()
-                   for i, job in enumerate(jobs)]
+        futures = _submit(pool, jobs) if pool else [Future() for _ in jobs]
         for i in reversed(range(len(jobs))):
             if pool is None or (not futures[i].running() and _claim(claims, i)):
                 futures[i] = Future()
@@ -153,7 +169,7 @@ def _start_output(cfg, out_dir: Path) -> None:
         out_dir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError, PermissionError) as exc:
         raise ConfigurationError(f"output directory {out_dir}: {exc.strerror}") from None
-    (out_dir / "resolved_config.json").write_text(resolved_config_json(cfg))
+    harness.write_text(out_dir / "resolved_config.json", resolved_config_json(cfg))
 
 
 def cmd_train(cfg: ExperimentConfig, out_dir: Path, threads: int) -> int:
@@ -226,8 +242,7 @@ def cmd_benchmark(cfg: BenchmarkConfig, out_dir: Path, threads: int) -> int:
             else:
                 runs = [next(results) for _ in cfg.seeds]
             report = compute_speedup(base_agg, _aggregate(runs, f"{cell} {name}"))
-            (cell_dir / name).mkdir(parents=True, exist_ok=True)
-            (cell_dir / name / "speedup.json").write_text(report.to_json_line() + "\n")
+            harness.write_json(cell_dir / name / "speedup.json", report)
             summary_rows.append(
                 [kind, f"{fraction:g}", name,
                  _format_speedup(report.speedup), f"{report.best_error:.4f}"]
@@ -237,10 +252,8 @@ def cmd_benchmark(cfg: BenchmarkConfig, out_dir: Path, threads: int) -> int:
                 f"best error {report.best_error:.4f}"
             )
 
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["corruption", "fraction", "variant", "speedup", "best_error"])
-        writer.writerows(summary_rows)
+    harness.write_csv(out_dir / "summary.csv",
+                      ["corruption", "fraction", "variant", "speedup", "best_error"], summary_rows)
     print(f"summary written to {out_dir / 'summary.csv'}")
     return 1 if any(m.diverged for m in all_runs) else 0
 
@@ -292,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "selftest":
-        return cmd_selftest()
     try:
+        if args.command == "selftest":
+            return cmd_selftest()
         if args.threads < 1:
             raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
         if args.command == "train":
@@ -317,6 +330,9 @@ def main(argv=None) -> int:
         print(f"error: a worker process died before returning its runs ({exc})",
               file=sys.stderr)
         return 1
+    except KeyboardInterrupt:  # a worker ignores it, and _run_seeds has stopped them
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -22,6 +21,7 @@ from .datasets import (
     load_idx_images,
 )
 from .errors import ConfigurationError
+from .harness import to_json
 from .model import TrainerConfig
 from .prioritizers import PRIORITIZER_KINDS, PrioritizerConfig, make_prioritizer
 
@@ -246,24 +246,8 @@ def load_benchmark_config(path) -> BenchmarkConfig:
     return benchmark_config_from_dict(_parse_json(path), context=str(path))
 
 
-def config_to_dict(cfg) -> dict:
-    """Dataclass tree to plain JSON-ready values (enums by value)."""
-    out = dataclasses.asdict(cfg)
-
-    def scrub(value):
-        if isinstance(value, dict):
-            return {k: scrub(v) for k, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [scrub(v) for v in value]
-        if isinstance(value, Enum):
-            return value.value
-        return value
-
-    return scrub(out)
-
-
 def resolved_config_json(cfg) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+    return to_json(cfg, indent=2)
 
 
 def build_datasets(cfg: ExperimentConfig | BenchmarkConfig,

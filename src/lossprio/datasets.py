@@ -10,7 +10,6 @@ reproduces the same dataset byte for byte.
 from __future__ import annotations
 
 import contextlib
-import csv
 import math
 import struct
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -382,13 +381,3 @@ def _corrupt_rows(feats, labels, codes, num_classes: int, spec: CorruptionSpec,
         block += mu
         feats[chosen] = block
 
-
-def write_snapshot_csv(dataset: Dataset, path) -> None:
-    """One row per example: id, label, corrupted flag, corruption kind."""
-    names = [kind.value for kind in CORRUPTION_KINDS]
-    rows = zip(dataset.labels.tolist(), dataset.kind_codes.tolist())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "label", "corrupted", "kind"])
-        for i, (label, code) in enumerate(rows):
-            writer.writerow([i, label, int(code != 0), names[code]])

@@ -1,4 +1,4 @@
-"""Training loop, speedup measurement, and metrics serialization.
+"""Training loop, speedup measurement, and the writers of every output file.
 
 A run walks the shuffled train split in candidate batches, forward-scores
 each batch (unless the prioritizer ignores scores), lets the prioritizer
@@ -11,16 +11,16 @@ axis for every speedup number.
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import CORRUPTION_KINDS, Dataset
 from .errors import AggregationError, ConfigurationError, TrainingDivergedError
 from .model import (
     TrainerConfig,
@@ -294,9 +294,6 @@ class SpeedupReport:
     speedup: float | None
     best_error: float
 
-    def to_json_line(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 def _first_crossing(eval_points, threshold: float) -> int | None:
     for backprops, err in eval_points:
@@ -377,37 +374,47 @@ def aggregate_seeds(runs: list[RunMetrics]) -> SeedAggregate:
     )
 
 
+def to_json(value, indent: int | None = None) -> str:
+    """value as JSON and a newline: sorted keys, dataclasses as dicts, enums by value."""
+    return json.dumps(value, indent=indent, sort_keys=True,
+                      default=lambda v: v.value if isinstance(v, Enum) else asdict(v)) + "\n"
+
+
+def write_text(path, text: str) -> None:
+    """Write text to path as is, creating its directory first."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    Path(path).write_text(text, newline="")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write each row as its fields' str() joined by commas; none needs quoting."""
+    line = ",".join(["%s"] * len(header)) + "\n"
+    write_text(path, line % tuple(header) + "".join([line % tuple(row) for row in rows]))
+
+
+def write_json(path, value) -> None:
+    write_text(path, to_json(value))
+
+
 def write_metrics_csv(metrics: RunMetrics, path) -> None:
     """One row per emitted batch; test_error is only present on eval rows."""
     eval_at = dict(zip(metrics.eval_iterations, metrics.eval_errors))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(METRICS_HEADER)
-        for it in range(metrics.num_iterations):
-            gate = "" if metrics.gate_on_series is None else metrics.gate_on_series[it]
-            err = eval_at.get(it, "")
-            writer.writerow(
-                [
-                    it,
-                    metrics.backprops_series[it],
-                    repr(err) if isinstance(err, float) else err,
-                    repr(metrics.corrupted_frac_series[it]),
-                    gate,
-                ]
-            )
+    n = metrics.num_iterations
+    write_csv(path, METRICS_HEADER, zip(
+        range(n), metrics.backprops_series, [eval_at.get(it, "") for it in range(n)],
+        metrics.corrupted_frac_series, metrics.gate_on_series or [""] * n))
 
 
-def write_picks_csv(metrics: RunMetrics, path) -> None:
-    """One row per train example: its id and how often it was trained on."""
-    rows = "".join(f"{i},{n}\n" for i, n in enumerate(metrics.picks.tolist()))
-    Path(path).write_text("id,picks\n" + rows, newline="")
+def write_snapshot_csv(dataset: Dataset, path) -> None:
+    """One row per example: id, label, corrupted flag, corruption kind."""
+    names = [kind.value for kind in CORRUPTION_KINDS]
+    rows = enumerate(zip(dataset.labels.tolist(), dataset.kind_codes.tolist()))
+    write_csv(path, ["id", "label", "corrupted", "kind"],
+              ((i, label, int(code != 0), names[code]) for i, (label, code) in rows))
 
 
 def save_run(metrics: RunMetrics, run_dir) -> None:
-    """Write metrics.csv, picks.csv, and a run.json with the seed and status."""
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    write_metrics_csv(metrics, run_dir / "metrics.csv")
-    write_picks_csv(metrics, run_dir / "picks.csv")
-    meta = {"seed": metrics.seed, "status": metrics.status}
-    (run_dir / "run.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
+    """Write metrics.csv, picks.csv (times each row was trained on) and run.json (seed, status)."""
+    write_metrics_csv(metrics, Path(run_dir, "metrics.csv"))
+    write_csv(Path(run_dir, "picks.csv"), ["id", "picks"], enumerate(metrics.picks.tolist()))
+    write_json(Path(run_dir, "run.json"), {"seed": metrics.seed, "status": metrics.status})

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -316,7 +317,8 @@ def learning_rate_at(progress: float, cfg: TrainerConfig) -> float:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write architecture and parameters; float64 round-trips exactly."""
+    """Write architecture and parameters, creating the directory; float64 round-trips exactly."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     arrays = {"architecture": np.array(params.architecture, dtype=np.int64)}
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         arrays[f"w{i}"] = w

@@ -5,10 +5,11 @@ import json
 import multiprocessing.process
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
-from concurrent.futures import Future
+from concurrent.futures import Future, ProcessPoolExecutor
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -506,6 +507,50 @@ class TestRunsAcrossProcesses:
         assert err.startswith("error: a worker process died before returning its runs ("), err
         assert err.count("\n") == 1, err
         assert [str(failure.exc_value) for failure in thread_failures] == []
+
+
+
+class TestInterrupt:
+    def test_interrupt_exits_130_and_leaves_no_directory_for_the_cut_run(
+            self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, SMALL_EXPERIMENT)  # two seeds
+        whole = tmp_path / "whole"
+        assert main(["train", "--config", str(cfg), "--out", str(whole), "--threads", "1"]) == 0
+        capsys.readouterr()
+        run_training, calls = cli.run_training, []
+
+        def cut_off_second(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return run_training(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_training", cut_off_second)
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out), "--threads", "1"]) == 130
+        captured = capsys.readouterr()
+        assert captured.err == "interrupted\n"
+        assert captured.out == ""
+        # one process walks the runs from the back: seed 2 ends, seed 1 is cut off
+        names = ["metrics.csv", "model.npz", "picks.csv", "run.json"]
+        assert sorted(p.name for p in (out / "seed_2").iterdir()) == names
+        for name in names:
+            assert (out / "seed_2" / name).read_bytes() == (whole / "seed_2" / name).read_bytes()
+        assert not (out / "seed_1").exists()
+
+    def test_workers_start_with_sigint_blocked_and_ignore_it(self):
+        # so only the calling process answers an interrupt, and no worker
+        # prints a KeyboardInterrupt, not even one still importing
+        context = get_context("spawn")
+        claims = context.Array("b", [1])  # taken, so the worker runs no job
+        with ProcessPoolExecutor(1, mp_context=context, initializer=cli._start_process,
+                                 initargs=(False, claims)) as pool:
+            assert [future.result() for future in cli._submit(pool, [None])] == [None]
+            mask = pool.submit(signal.pthread_sigmask, signal.SIG_BLOCK, []).result()
+            assert signal.SIGINT in mask
+            assert pool.submit(signal.getsignal, signal.SIGINT).result() == signal.SIG_IGN
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
 
 
 def test_blas_threads_do_not_change_bytes_at_mnist_width(tmp_path):

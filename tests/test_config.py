@@ -15,7 +15,6 @@ from lossprio.config import (
     ExperimentConfig,
     benchmark_config_from_dict,
     build_datasets,
-    config_to_dict,
     experiment_config_from_dict,
     load_experiment_config,
     resolved_config_json,
@@ -351,7 +350,7 @@ class TestResolvedConfig:
         assert benchmark_config_from_dict(json.loads(resolved_config_json(cfg))) == cfg
 
     def test_dict_form_contains_all_defaults(self):
-        raw = config_to_dict(ExperimentConfig())
+        raw = json.loads(resolved_config_json(ExperimentConfig()))
         assert raw["trainer"]["momentum"] == 0.9
         assert raw["prioritizer"]["histogram_capacity"] == 1024
         assert raw["dataset"]["type"] == "synthetic"

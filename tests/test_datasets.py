@@ -24,9 +24,9 @@ from lossprio.datasets import (
     generate_synthetic_pair,
     load_idx_images,
     make_task_permutation,
-    write_snapshot_csv,
 )
 from lossprio.errors import ConfigurationError, IngestionError
+from lossprio.harness import write_snapshot_csv
 
 
 @pytest.fixture(autouse=True)

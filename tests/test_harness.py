@@ -257,7 +257,7 @@ class TestComputeSpeedup:
     def test_none_round_trips_through_json(self):
         baseline = fake_curve([(5000, 0.5), (10000, 0.2)])
         method = fake_curve([(5000, 0.9)])
-        line = compute_speedup(baseline, method).to_json_line()
+        line = harness.to_json(compute_speedup(baseline, method))
         assert '"speedup": null' in line
         restored = json.loads(line)
         assert restored["speedup"] is None
@@ -266,9 +266,9 @@ class TestComputeSpeedup:
     def test_json_line_bytes_pinned(self):
         report = harness.SpeedupReport(threshold_error=0.24, baseline_backprops=10000,
                                        method_backprops=None, speedup=None, best_error=0.3)
-        assert report.to_json_line() == (
+        assert harness.to_json(report) == (
             '{"baseline_backprops": 10000, "best_error": 0.3, "method_backprops": null, '
-            '"speedup": null, "threshold_error": 0.24}'
+            '"speedup": null, "threshold_error": 0.24}\n'
         )
 
     def test_first_crossing_is_taken(self):

@@ -8,10 +8,11 @@ prioritizer's ``feed``; perfbench/worker.py's ``check_run`` reads
 (``perfbench/run.py``).
 """
 
+import json
 import sys
 from pathlib import Path
 
-from lossprio import harness
+from lossprio import cli, harness
 from lossprio.datasets import generate_synthetic_pair
 from lossprio.model import TrainerConfig
 from lossprio.prioritizers import PRIORITIZER_KINDS, PrioritizerConfig
@@ -37,6 +38,25 @@ def test_full_probe_traces_every_kinds_feed():
         assert metrics[f"model.sgd_step_calls.{kind}"] > 0, kind
         assert metrics[f"harness.eval_calls.{kind}"] > 0, kind
     assert harness.make_prioritizer.__module__ == "lossprio.prioritizers"  # probe undone
+
+
+def test_full_probe_times_the_cli_file_writers(tmp_path):
+    # cli.snapshot_write_s and harness.save_run_s read 0 unless the command
+    # line reaches both writers through the names the probe patches
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dataset": {"num_train": 200, "num_test": 60, "num_classes": 4, "feature_dim": 8},
+        "trainer": {"batch_size": 32, "total_epochs": 1, "hidden_layers": [8]},
+        "seeds": [1, 2],
+        "eval_every": 64,
+    }))
+    with layers.Probe(full=True) as probe:
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "1"]
+        assert cli.main(argv) == 0
+    names = [span.name for span in probe.tracer.spans]
+    assert names.count("datasets.write_snapshot_csv") == 1
+    assert names.count("harness.save_run") == 2
+    assert cli.save_run is harness.save_run  # probe undone
 
 
 def test_runs_pass_perfbench_output_checks():
