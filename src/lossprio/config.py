@@ -67,8 +67,13 @@ def _check_selector_seed(name: str, prio: PrioritizerConfig, seeds) -> None:
 
 def _grid_cell(cell) -> tuple[str, float]:
     if isinstance(cell, dict):
+        unknown = sorted(set(cell) - {"kind", "fraction"})
+        if unknown:  # a misspelt fraction would run the cell uncorrupted
+            raise ValueError(f"unknown keys {unknown}")
         cell = (cell.get("kind", "none"), cell.get("fraction", 0.0))
     kind, fraction = cell
+    if isinstance(fraction, bool) or not isinstance(fraction, Real):
+        raise TypeError(f"fraction: expected float, got {fraction!r}")
     CorruptionSpec(str(kind), float(fraction))  # rejects an unknown kind or fraction
     return str(kind), float(fraction)
 

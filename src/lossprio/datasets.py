@@ -21,8 +21,6 @@ import numpy as np
 
 from .errors import ConfigurationError, IngestionError
 
-_IMAGES_MAGIC = 2051
-_LABELS_MAGIC = 2049
 # Row blocks of about this many feature bytes bound the temporaries of the
 # in-place generation and corruption passes.
 _CHUNK_BYTES = 1 << 20
@@ -226,12 +224,30 @@ def _drawing(rng, feats):
         helper.shutdown(cancel_futures=True)
 
 
-def load_idx_images(
-    images_path,
-    labels_path=None,
-    limit: int | None = None,
-    split: str = "train",
-) -> Dataset:
+def _read_idx(path, dims: int) -> np.ndarray:
+    """The unsigned bytes of an IDX file of dims sizes, in the shape they give:
+    the magic 0x0800 + dims, dims big-endian uint32 sizes, none of them 0, then
+    every byte they promise.  Each error names the file and the byte offset."""
+    raw, header = Path(path).read_bytes(), 4 + 4 * dims
+    if len(raw) < header:
+        raise IngestionError(f"header needs {header} bytes, file has {len(raw)}",
+                             path=path, offset=len(raw))
+    magic, *sizes = struct.unpack(f">{dims + 1}I", raw[:header])
+    if magic != 0x0800 + dims:
+        raise IngestionError(f"bad magic 0x{magic:08x}, expected 0x{0x0800 + dims:08x}",
+                             path=path, offset=0)
+    if 0 in sizes:
+        raise IngestionError(f"size {sizes.index(0) + 1} of {dims} is 0",
+                             path=path, offset=4 + 4 * sizes.index(0))
+    expected = header + math.prod(sizes)
+    if len(raw) < expected:
+        raise IngestionError(f"payload truncated: file ends at byte {len(raw)}, "
+                             f"expected {expected}", path=path, offset=len(raw))
+    return np.frombuffer(raw, np.uint8, expected - header, header).reshape(sizes)
+
+
+def load_idx_images(images_path, labels_path=None, limit: int | None = None,
+                    split: str = "train") -> Dataset:
     """Read a big-endian IDX image file (with its companion label file).
 
     When labels_path is omitted it is derived from images_path by the usual
@@ -242,74 +258,24 @@ def load_idx_images(
     if labels_path is None:
         name = images_path.name
         if "images" not in name:
-            raise IngestionError(
-                f"cannot derive a label file name from {images_path.name!r}; "
-                "pass labels_path explicitly",
-                path=images_path,
-                offset=0,
-            )
+            raise IngestionError(f"cannot derive a label file name from {name!r}; pass "
+                                 "labels_path explicitly", path=images_path, offset=0)
         labels_path = images_path.with_name(
-            name.replace("images", "labels").replace("idx3", "idx1")
-        )
+            name.replace("images", "labels").replace("idx3", "idx1"))
     labels_path = Path(labels_path)
     if limit is not None and limit < 1:
         raise ConfigurationError("limit must be a positive integer")
 
-    raw = images_path.read_bytes()
-    if len(raw) < 16:
-        raise IngestionError(
-            f"image header needs 16 bytes, file has {len(raw)}",
-            path=images_path,
-            offset=len(raw),
-        )
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != _IMAGES_MAGIC:
-        raise IngestionError(
-            f"bad image magic 0x{magic:08x}, expected 0x{_IMAGES_MAGIC:08x}",
-            path=images_path,
-            offset=0,
-        )
-    expected = 16 + count * rows * cols
-    if len(raw) < expected:
-        raise IngestionError(
-            f"image payload truncated: file ends at byte {len(raw)}, expected {expected}",
-            path=images_path,
-            offset=len(raw),
-        )
-
-    raw_labels = labels_path.read_bytes()
-    if len(raw_labels) < 8:
-        raise IngestionError(
-            f"label header needs 8 bytes, file has {len(raw_labels)}",
-            path=labels_path,
-            offset=len(raw_labels),
-        )
-    lmagic, lcount = struct.unpack(">II", raw_labels[:8])
-    if lmagic != _LABELS_MAGIC:
-        raise IngestionError(
-            f"bad label magic 0x{lmagic:08x}, expected 0x{_LABELS_MAGIC:08x}",
-            path=labels_path,
-            offset=0,
-        )
-    if lcount != count:
-        raise IngestionError(
-            f"label count {lcount} does not match image count {count}",
-            path=labels_path,
-            offset=4,
-        )
-    if len(raw_labels) < 8 + count:
-        raise IngestionError(
-            f"label payload truncated: file ends at byte {len(raw_labels)}, expected {8 + count}",
-            path=labels_path,
-            offset=len(raw_labels),
-        )
-
+    pixels, labels = _read_idx(images_path, 3), _read_idx(labels_path, 1)
+    count, rows, cols = pixels.shape
+    if len(labels) != count:
+        raise IngestionError(f"count {len(labels)} does not match the {count} of {images_path}",
+                             path=labels_path, offset=4)
     take = count if limit is None else min(limit, count)
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
     feats = pixels.reshape(count, rows * cols)[:take].astype(np.float64)
     feats /= 255.0
-    labels = np.frombuffer(raw_labels, dtype=np.uint8, count=count, offset=8)[:take]
-    num_classes = int(labels.max()) + 1 if take else 1
+    labels = labels[:take]
+    num_classes = int(labels.max()) + 1
     return Dataset(feats, labels, max(num_classes, 2), split)
 
 

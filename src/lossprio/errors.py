@@ -6,14 +6,15 @@ class ConfigurationError(ValueError):
 
 
 class IngestionError(ValueError):
-    """Malformed input file; message names the failing byte offset."""
+    """Malformed input file; message names the file and the failing byte offset."""
 
-    def __init__(self, message: str, *, path=None, offset: int | None = None):
-        if path is not None or offset is not None:
-            message = f"{message} (file={path!s}, byte offset={offset})"
-        super().__init__(message)
+    def __init__(self, message: str, *, path, offset: int):
+        super().__init__(f"{message} (file={path!s}, byte offset={offset})")
         self.path = path
         self.offset = offset
+
+    def __reduce__(self):  # a worker's error is unpickled without calling __init__
+        return ValueError.__new__, (type(self), *self.args), self.__dict__
 
 
 class TrainingDivergedError(RuntimeError):

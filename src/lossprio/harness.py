@@ -94,9 +94,10 @@ def _usable_cores() -> int:
 # helper thread.  A direct library call runs in one process; cli._run_seeds
 # sets this from the number of processes it runs at once.  Without a spare
 # core, evaluation stays inline on the live parameters: with the helper forced
-# on in every process, a 2-core `benchmark --threads 2` grid trained vr 6.7%
-# slower (median of 5 pairs), and copying the parameters for an inline
-# evaluation cost uniform, sb_loss and sb_entropy 1-5.5%.
+# on in every process, a 2-core `benchmark --threads 2` grid (perfbench
+# cli_grid, medians of 10 pairs) fed 6.5% fewer candidates per second on
+# uniform, 7.4% on sb_loss, 7.3% on sb_entropy and 4.8% on vr, and copying the
+# parameters for an inline evaluation cost uniform, sb_loss and sb_entropy 1-5.5%.
 _spare_core = _usable_cores() > 1
 
 

@@ -6,6 +6,7 @@ import multiprocessing.process
 import os
 import re
 import signal
+import struct
 import subprocess
 import sys
 import threading
@@ -508,6 +509,82 @@ class TestRunsAcrossProcesses:
         assert err.count("\n") == 1, err
         assert [str(failure.exc_value) for failure in thread_failures] == []
 
+
+def write_idx_pair(directory, prefix, count, rows=4, cols=4, classes=3):
+    """<prefix>-images-idx3-ubyte and its label file: count images of rows x
+    cols pixels, each brighter the higher its class."""
+    rng = np.random.default_rng(count)
+    labels = rng.integers(0, classes, count).astype(np.uint8)
+    pixels = labels[:, None, None] * 60 + rng.integers(0, 120, (count, rows, cols))
+    (directory / f"{prefix}-images-idx3-ubyte").write_bytes(
+        struct.pack(">IIII", 2051, count, rows, cols) + pixels.astype(np.uint8).tobytes())
+    (directory / f"{prefix}-labels-idx1-ubyte").write_bytes(
+        struct.pack(">II", 2049, count) + labels.tobytes())
+
+
+# relative paths, so resolved_config.json holds no temporary directory
+IDX_EXPERIMENT = {
+    "dataset": {"type": "idx", "train_images": "train-images-idx3-ubyte",
+                "test_images": "t10k-images-idx3-ubyte"},
+    "corruption": {"kind": "gaussian", "fraction": 0.5, "seed": 7},
+    "trainer": {"batch_size": 32, "total_epochs": 2, "hidden_layers": [16]},
+    "prioritizer": {"kind": "sb_loss", "beta": 1.0, "seed": 100},
+    "seeds": [1, 2],
+    "eval_every": 64,
+}
+
+# tree_digest of `train` on IDX_EXPERIMENT over a 300+60-row pair, recorded
+# before both IDX files were read through one reader
+IDX_DIGEST = "e0b0fac943a4b3e6473336325cbce80f74d4619f1dbe0fc0a630860bc9444289"
+
+
+class TestIdxFiles:
+    @pytest.fixture(autouse=True)
+    def idx_pair(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_idx_pair(tmp_path, "train", 300)
+        write_idx_pair(tmp_path, "t10k", 60)
+        write_config(tmp_path, IDX_EXPERIMENT)
+
+    def test_every_output_byte_identical_at_one_and_two(self, capsys):
+        digests = []
+        for threads in ("1", "2"):
+            out = Path(f"t{threads}")
+            assert main(["train", "--config", "cfg.json", "--out", str(out),
+                         "--threads", threads]) == 0
+            stdout = capsys.readouterr().out
+            assert stdout.count("best test error") == 2, stdout
+            digests.append(tree_digest(out, stdout))
+        assert digests == [IDX_DIGEST] * 2
+
+    @pytest.mark.parametrize(
+        "prefix, count, rows, cols, name, offset",
+        # each used to fail only once the run had started, naming no file:
+        # "cannot evaluate on an empty split", "train split of 0 cannot fill a
+        # batch of 32", and "feature array (300, 0) does not match ..."
+        [("t10k", 0, 4, 4, "t10k-images-idx3-ubyte", 4),
+         ("train", 0, 4, 4, "train-images-idx3-ubyte", 4),
+         ("train", 300, 0, 4, "train-images-idx3-ubyte", 8),
+         ("train", 300, 4, 0, "train-images-idx3-ubyte", 12)],
+    )
+    def test_a_size_of_zero_exits_two_naming_file_and_offset(self, tmp_path, capsys, prefix,
+                                                             count, rows, cols, name, offset):
+        write_idx_pair(tmp_path, prefix, count, rows, cols)
+        assert main(["train", "--config", "cfg.json", "--out", "o", "--threads", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.endswith(f"(file={name}, byte offset={offset})\n"), err
+        assert not (tmp_path / "o" / "seed_1").exists()
+        assert not (tmp_path / "o" / "dataset_snapshot.csv").exists()
+
+    def test_bad_file_read_in_a_worker_exits_two_naming_it(self, tmp_path, capsys, where):
+        # the worker's IngestionError crosses back to this process pickled
+        path = tmp_path / "t10k-labels-idx1-ubyte"
+        path.write_bytes(b"\x00\x00\x08\x03" + path.read_bytes()[4:])
+        assert main(["train", "--config", "cfg.json", "--out", "o", "--threads", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert err.endswith("(file=t10k-labels-idx1-ubyte, byte offset=0)\n"), err
 
 
 class TestInterrupt:

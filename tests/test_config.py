@@ -1,5 +1,6 @@
 """JSON config parsing, resolution, and dataset materialization."""
 
+import dataclasses
 import json
 import math
 import re
@@ -76,6 +77,19 @@ class TestExperimentParsing:
             ("benchmark", {"corruption_grid": [["gaussian", 0.5, 1]]}, r"corruption_grid\[0\]"),
             ("benchmark", {"corruption_grid": [["salt", 0.5]]},
              r"corruption_grid\[0\] = \['salt', 0.5\]: kind: unknown corruption kind 'salt'"),
+            # grid cells used to drop unknown keys and take a bool or a string
+            # as the fraction: the first ran as gaussian_0, the others as 1.0 and 0.5
+            ("benchmark", {"corruption_grid": [["none", 0], {"kind": "gaussian", "fracton": 0.5}]},
+             r"json: corruption_grid\[1\] = \{'kind': 'gaussian', 'fracton': 0.5\}: "
+             r"unknown keys \['fracton'\]\n\Z"),
+            ("benchmark", {"corruption_grid": [{"kind": "gaussian", "fraction": 0.5, "seed": 3}]},
+             r"json: corruption_grid\[0\] = .*: unknown keys \['seed'\]\n\Z"),
+            ("benchmark", {"corruption_grid": [["random_label", True]]},
+             r"json: corruption_grid\[0\] = \['random_label', True\]: "
+             r"fraction: expected float, got True\n\Z"),
+            ("benchmark", {"corruption_grid": [["random_label", "0.5"]]},
+             r"json: corruption_grid\[0\] = \['random_label', '0.5'\]: "
+             r"fraction: expected float, got '0.5'\n\Z"),
             ("benchmark", {"seeds": ["a"]}, r"json: seeds\[0\]: expected int, got 'a'"),
             ("benchmark", {"dataset": {"num_train": "5000"}}, r"\.dataset: num_train"),
             ("benchmark", {"dataset": {"type": "idx", "train_images": 5, "test_images": 6}},
@@ -326,6 +340,69 @@ def benchmark_configs(draw):
         corruption_seed=draw(seeds), variants=tuple(draw(variants)), trainer=trainer,
         seeds=draw(seed_lists), eval_every=draw(st.integers(1, 10**6)), output_dir=draw(paths),
     )
+
+
+# Any JSON value, NaN and both infinities included.  Integers stay small
+# throughout: loading a config builds each selector, which allocates its window.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 300) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+kinds = st.sampled_from([*PRIORITIZER_KINDS, *(k.value for k in CorruptionKind), "salt"])
+fractions = st.floats(0, 1) | st.integers(0, 1)
+rarely = st.integers(0, 4).map(lambda i: i == 4)  # True one time in five
+# A value of each field annotation's own type, right or wrong for its field.
+typed_values = {
+    "int": st.integers(-2, 300), "int | None": st.none() | st.integers(-2, 300),
+    "float": st.floats(0, 1) | st.floats(), "str | None": st.none() | st.text(max_size=8),
+    "str": kinds | st.sampled_from(["synthetic", "idx"]), "CorruptionKind": kinds,
+    "tuple[int, ...]": st.lists(st.integers(-2, 300), min_size=1, max_size=3),
+    "tuple[float, ...]": st.lists(st.floats(0, 1) | st.floats(), max_size=3),
+    "tuple[tuple[str, float], ...]": st.lists(
+        st.tuples(kinds, fractions | json_values).map(list) | json_values
+        | st.fixed_dictionaries({}, optional={"kind": kinds, "fraction": fractions | json_values,
+                                              "seed": json_values}), min_size=1, max_size=3),
+    "tuple[PrioritizerConfig, ...]": st.deferred(
+        lambda: st.lists(config_dicts(PrioritizerConfig), max_size=3)),
+}
+sections = {cls.__name__: cls for cls in (DatasetConfig, CorruptionSpec, TrainerConfig,
+                                          PrioritizerConfig)}
+
+
+@st.composite
+def config_dicts(draw, cls):
+    """A dict for cls's loader: any subset of its fields, each most often a value
+    of its own type (a dict, for a nested section) and otherwise any JSON value,
+    and sometimes a stray key."""
+    raw = {}
+    for f in dataclasses.fields(cls):
+        if draw(st.booleans()):
+            own = config_dicts(sections[f.type]) if f.type in sections else typed_values[f.type]
+            raw[f.name] = draw(json_values if draw(rarely) else own)
+    if draw(rarely):
+        raw["stray"] = draw(json_values)
+    return raw
+
+
+def refuse(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+class TestLoaders:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    @pytest.mark.parametrize("cls, loader", [(ExperimentConfig, experiment_config_from_dict),
+                                             (BenchmarkConfig, benchmark_config_from_dict)])
+    def test_a_dict_loads_or_raises_configuration_error(self, cls, loader, data):
+        raw = data.draw(config_dicts(cls))
+        try:
+            cfg = loader(raw)
+        except ConfigurationError:
+            return
+        text = resolved_config_json(cfg)
+        assert loader(json.loads(text, parse_constant=refuse)) == cfg
 
 
 class TestResolvedConfig:
