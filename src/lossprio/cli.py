@@ -13,10 +13,10 @@ import os
 import signal
 import sys
 from collections import namedtuple
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,7 @@ def _resolve_output_dir(cli_out: str | None, config_out: str | None, fallback_na
 # One training run: configs (cfg gives the dataset, trainer and eval_every), a
 # seed and a run directory, never arrays; a cell's first job writes snapshot.
 _Job = namedtuple("_Job", "cfg corruption prio seed run_dir snapshot")
-_worker_cells: dict = {}  # a spawned worker's last-built cell, kept across its jobs
+_worker_cells: dict = {}  # a worker's last-built cell, kept across its jobs
 
 
 def _run_job(job: _Job, cells: dict | None = None):
@@ -75,11 +75,11 @@ def _run_job(job: _Job, cells: dict | None = None):
     return metrics
 
 
-_worker_claims = None  # a spawned worker's view of its _run_seeds' claims
+_worker_claims = None  # a worker's view of its _run_seeds' claims
 
 
 def _start_process(spare_core: bool, claims=None) -> None:
-    """Ready this process, or a spawned worker given its claims, to run jobs:
+    """Ready this process, or a worker given its claims, to run jobs:
     say whether it has a core to spare, and run numpy's bundled OpenBLAS on
     one thread, so no job's bytes depend on the cores it finds (a numpy
     without it is left as is).  A worker ignores SIGINT: the calling process
@@ -113,11 +113,33 @@ def _run_unclaimed(i: int, job: _Job):
     return _run_job(job) if _claim(_worker_claims, i) else None
 
 
+def _worker_context():
+    """Where workers come from: forked from one server per process, which
+    multiprocessing starts on first use and which lives as long as this
+    process; spawned where there is no fork server (Windows).
+
+    The server imports numpy and this package before its first fork, so a
+    worker imports neither.  A package the server cannot find on its own
+    path (one put on sys.path at run time) is left to each worker to import:
+    Python 3.11 drops an ImportError of a preloaded module.  A worker sees the
+    environment as it was when the server started, and this process's
+    working directory and sys.path as they are when the worker starts.  The
+    server's numpy may start OpenBLAS threads; OpenBLAS stops them before
+    each fork (its atfork handler), so the server forks with one thread.
+    """
+    if "forkserver" not in get_all_start_methods():
+        return get_context("spawn")
+    context = get_context("forkserver")
+    context.set_forkserver_preload(["numpy", "lossprio"])
+    return context
+
+
 def _submit(pool: ProcessPoolExecutor, jobs: list[_Job]) -> list[Future]:
     """The pool's future of each job.  Its workers start here, with SIGINT
-    blocked as multiprocessing starts its resource tracker, so an interrupt
-    cannot reach one while it imports; one that comes meanwhile reaches this
-    process when the block ends."""
+    blocked as multiprocessing starts its resource tracker and fork server,
+    which they inherit the block from, so an interrupt cannot reach one
+    before it ignores SIGINT; one that comes meanwhile reaches this process
+    when the block ends."""
     masked = hasattr(signal, "pthread_sigmask")  # not on Windows
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT}) if masked else None
     try:
@@ -130,37 +152,47 @@ def _submit(pool: ProcessPoolExecutor, jobs: list[_Job]) -> list[Future]:
 def _run_seeds(jobs: list[_Job], threads: int) -> list:
     """Every job's RunMetrics in job order, from this process and threads - 1 workers.
 
-    Spawned workers, always fewer than the jobs, take jobs from the front of
-    the list; this process walks it from the back and runs each job that is
-    still queued for the workers and that it claims first.  No future is
-    ever cancelled, so a worker that dies can fail each one its pool holds.
+    Workers (see _worker_context), always fewer than the jobs, take jobs from
+    the front of the list; this process walks it from the back and runs each
+    job it claims first, even one the pool has already queued to a worker.
+    No future is ever cancelled, and a pool that breaks fails them all, so a
+    worker that dies fails the command even if this process ran every job.
     The first exception in job order is raised.  Each process runs BLAS on
     one thread, and evaluates on a helper thread only while the processes
     leave a core spare.  perfbench's span probes patch this function by name.
     """
     processes = min(threads, len(jobs))
     spare_core, before = processes < harness._usable_cores(), harness._spare_core
-    context = get_context("spawn")
+    context = _worker_context()
     claims = context.Array("b", len(jobs)) if processes > 1 else None
     _start_process(spare_core)
     pool = ProcessPoolExecutor(processes - 1, mp_context=context, initializer=_start_process,
                                initargs=(spare_core, claims)) if processes > 1 else None
     cells: dict = {}
+    mine: list[Future | None] = [None] * len(jobs)  # the jobs this process ran
     try:
         futures = _submit(pool, jobs) if pool else [Future() for _ in jobs]
         for i in reversed(range(len(jobs))):
-            if pool is None or (not futures[i].running() and _claim(claims, i)):
-                futures[i] = Future()
+            if pool is None or _claim(claims, i):
+                mine[i] = Future()
                 try:
-                    futures[i].set_result(_run_job(jobs[i], cells))
+                    mine[i].set_result(_run_job(jobs[i], cells))
                 except Exception as exc:  # raised in job order below, as from a worker
-                    futures[i].set_exception(exc)
-        return [future.result() for future in futures]
+                    mine[i].set_exception(exc)
+        # the workers' runs end before the claims below take every job
+        wait([pooled for pooled, ran in zip(futures, mine) if ran is None])
     finally:
         harness._spare_core = before
         if pool is not None:
             claims[:] = [1] * len(jobs)  # after an interrupt, no worker starts a job
             pool.shutdown()
+    runs = []
+    for pooled, ran in zip(futures, mine):
+        # a shut-down pool's futures are done: a worker's run or error, None
+        # for a job this process took, or the pool's error if a worker died
+        run = pooled.result() if pooled.done() else None
+        runs.append(ran.result() if run is None else run)
+    return runs
 
 
 def _start_output(cfg, out_dir: Path) -> None:
@@ -298,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", help="comma-separated seed list (overrides config)")
         p.add_argument("--threads", type=int, default=1,
                        help="processes to run the runs in: this one plus N-1 "
-                            "spawned workers (default 1)")
+                            "workers forked from a server (default 1)")
     sub.add_parser("selftest", help="run the four property checks of the acceptance gate")
     return parser
 

@@ -24,6 +24,9 @@ class TrainingDivergedError(RuntimeError):
         super().__init__(f"{message} (update {iteration})")
         self.iteration = iteration
 
+    def __reduce__(self):  # as IngestionError's
+        return RuntimeError.__new__, (type(self), *self.args), self.__dict__
+
 
 class AggregationError(ValueError):
     """Metric series from different runs cannot be aligned."""

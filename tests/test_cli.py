@@ -395,7 +395,7 @@ OUTPUT_DIGESTS = {
 
 
 class TestRunsAcrossProcesses:
-    """--threads N runs the command's runs in this process plus N - 1 spawned workers."""
+    """--threads N runs the command's runs in this process plus N - 1 workers."""
 
     @pytest.mark.parametrize("command", ["train", "benchmark"])
     def test_every_output_byte_identical_at_one_two_and_three(self, tmp_path, capsys,
@@ -617,8 +617,8 @@ class TestInterrupt:
 
     def test_workers_start_with_sigint_blocked_and_ignore_it(self):
         # so only the calling process answers an interrupt, and no worker
-        # prints a KeyboardInterrupt, not even one still importing
-        context = get_context("spawn")
+        # prints a KeyboardInterrupt, not even one still starting
+        context = cli._worker_context()
         claims = context.Array("b", [1])  # taken, so the worker runs no job
         with ProcessPoolExecutor(1, mp_context=context, initializer=cli._start_process,
                                  initargs=(False, claims)) as pool:
@@ -667,7 +667,7 @@ def test_runs_evaluate_on_a_helper_only_while_a_core_is_spare(tmp_path, monkeypa
             workers.append(initargs[0])
 
         def submit(self, *args):
-            return Future()  # never running, so this process takes every run
+            return Future()  # never run: this process claims and takes every run
 
         def shutdown(self):
             pass
@@ -683,6 +683,55 @@ def test_runs_evaluate_on_a_helper_only_while_a_core_is_spare(tmp_path, monkeypa
     assert seen == [spare, spare]
     assert workers == ([spare] if threads == "2" else [])
     assert harness._spare_core == before
+
+
+@pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork server on this platform")
+def test_workers_of_every_call_fork_from_one_server(tmp_path, monkeypatch):
+    parents = []
+
+    class Pool(ProcessPoolExecutor):  # asks its worker for its parent before closing
+        def shutdown(self, *args, **kwargs):
+            parents.append(self.submit(os.getppid).result(timeout=60))
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
+    cfg = write_config(tmp_path, SMALL_EXPERIMENT)  # two seeds: one worker
+    for out in ("a", "b"):
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / out), "--threads", "2"]
+        assert main(argv) == 0
+    assert len(parents) == 2 and parents[0] == parents[1] != os.getpid()
+
+
+def test_this_process_runs_every_job_no_worker_has_started(tmp_path, monkeypatch):
+    # the pool marks a job running once it queues it to a worker, and this
+    # process used to leave every such job to the worker
+    ran = []
+    run_training = cli.run_training
+
+    class Queued(Future):
+        def running(self):
+            return True
+
+        def result(self, timeout=None):
+            raise AssertionError("waited on a job no worker started")
+
+    class QueuingPool:  # queues every job and starts none
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def submit(self, *args):
+            return Queued()
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", QueuingPool)
+    monkeypatch.setattr(cli, "run_training", lambda *a, **k: ran.append(1) or run_training(*a, **k))
+    cfg = write_config(tmp_path, dict(SMALL_EXPERIMENT, seeds=[1, 2, 3]))
+    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "2"]
+    assert main(argv) == 0
+    assert len(ran) == 3
 
 
 def test_each_job_is_claimed_once_under_constant_thread_switches():

@@ -154,6 +154,12 @@ class TestExperimentParsing:
              r"json\.variants\[0\]: pool_capacity must be positive\n\Z"),
             ("benchmark", {"variants": [{"kind": "vr", "gate_threshold": -1}]},
              r"json\.variants\[0\]: gate_threshold must be nonnegative\n\Z"),
+            # a window numpy cannot allocate used to end in a MemoryError
+            # traceback, exit 1
+            ("train", {"prioritizer": {"kind": "sb_loss", "histogram_capacity": 10**12}},
+             r"json\.prioritizer: histogram_capacity 1000000000000: too large to allocate\n\Z"),
+            ("benchmark", {"variants": [{"kind": "sb_entropy", "histogram_capacity": 10**12}]},
+             r"json\.variants\[0\]: histogram_capacity 1000000000000: too large to allocate\n\Z"),
             # json reads NaN and Infinity, and a check written x < 0 passes NaN:
             # "beta": NaN used to admit every candidate and exit 0, with NaN
             # written into resolved_config.json
