@@ -114,19 +114,13 @@ def _run_unclaimed(i: int, job: _Job):
 
 
 def _worker_context():
-    """Where workers come from: forked from one server per process, which
-    multiprocessing starts on first use and which lives as long as this
-    process; spawned where there is no fork server (Windows).
-
-    The server imports numpy and this package before its first fork, so a
-    worker imports neither.  A package the server cannot find on its own
-    path (one put on sys.path at run time) is left to each worker to import:
-    Python 3.11 drops an ImportError of a preloaded module.  A worker sees the
-    environment as it was when the server started, and this process's
-    working directory and sys.path as they are when the worker starts.  The
-    server's numpy may start OpenBLAS threads; OpenBLAS stops them before
-    each fork (its atfork handler), so the server forks with one thread.
-    """
+    """Where workers come from: forked from one server per process, started
+    on first use with numpy and this package preloaded; spawned where there
+    is no fork server (Windows).  A worker sees the environment as it was
+    when the server started, and this process's working directory and
+    sys.path as they are when the worker starts.  A package put on sys.path
+    at run time is not on the server's path, so each worker imports it.
+    OpenBLAS stops its threads before each fork, so the server forks with one."""
     if "forkserver" not in get_all_start_methods():
         return get_context("spawn")
     context = get_context("forkserver")

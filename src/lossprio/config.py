@@ -279,12 +279,8 @@ def build_datasets(cfg: ExperimentConfig | BenchmarkConfig,
             ds.cluster_spread,
             corruption,
         )
-    train = load_idx_images(
-        ds.train_images, ds.train_labels, limit=ds.limit, split="train"
-    )
-    test = load_idx_images(
-        ds.test_images, ds.test_labels, limit=ds.limit, split="test"
-    )
+    train = load_idx_images(ds.train_images, ds.train_labels, limit=ds.limit)
+    test = load_idx_images(ds.test_images, ds.test_labels, limit=ds.limit)
     classes = max(train.num_classes, test.num_classes)
     train = replace(train, num_classes=classes)
     test = replace(test, num_classes=classes)

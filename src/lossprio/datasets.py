@@ -26,9 +26,7 @@ from .errors import ConfigurationError, IngestionError
 _CHUNK_BYTES = 1 << 20
 # A synthetic split of at least this many feature bytes is drawn on a helper
 # thread while the calling thread finishes and corrupts the rows drawn so far.
-# On a 2-core host the thread cost about 0.3 ms of a 5 ms build at 6000 x 32
-# and gained from about 3 MB with a gaussian corruption; this bound keeps
-# every build below MNIST scale on one thread.
+# The bound keeps every build below MNIST scale on one thread.
 _THREAD_BYTES = 32 << 20
 
 
@@ -53,12 +51,9 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    split: str = "train"
     kind_codes: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.split not in ("train", "test"):
-            raise ConfigurationError(f"unknown split {self.split!r}")
         if self.num_classes < 1:
             raise ConfigurationError("num_classes must be positive")
         feats = np.asarray(self.features, dtype=np.float64)
@@ -187,8 +182,8 @@ def generate_synthetic_pair(
             _corrupt_rows(feats[:num_train], labels[:num_train], codes, num_classes,
                           corruption, ready)
         ready(num_examples - 1)
-    return (Dataset(feats[:num_train], labels[:num_train], num_classes, "train", codes),
-            Dataset(feats[num_train:], labels[num_train:], num_classes, "test"))
+    return (Dataset(feats[:num_train], labels[:num_train], num_classes, codes),
+            Dataset(feats[num_train:], labels[num_train:], num_classes))
 
 
 def _row_chunks(num_rows: int, feature_dim: int):
@@ -246,8 +241,7 @@ def _read_idx(path, dims: int) -> np.ndarray:
     return np.frombuffer(raw, np.uint8, expected - header, header).reshape(sizes)
 
 
-def load_idx_images(images_path, labels_path=None, limit: int | None = None,
-                    split: str = "train") -> Dataset:
+def load_idx_images(images_path, labels_path=None, limit: int | None = None) -> Dataset:
     """Read a big-endian IDX image file (with its companion label file).
 
     When labels_path is omitted it is derived from images_path by the usual
@@ -276,7 +270,7 @@ def load_idx_images(images_path, labels_path=None, limit: int | None = None,
     feats /= 255.0
     labels = labels[:take]
     num_classes = int(labels.max()) + 1
-    return Dataset(feats, labels, max(num_classes, 2), split)
+    return Dataset(feats, labels, max(num_classes, 2))
 
 
 def make_task_permutation(feature_dim: int, seed: int) -> np.ndarray:
@@ -297,8 +291,6 @@ def apply_corruption(dataset: Dataset, spec: CorruptionSpec) -> Dataset:
     holds corrupted copies of the arrays the kind changes; ``dataset`` itself
     is left as it was.
     """
-    if dataset.split != "train":
-        raise ConfigurationError("corruption is only defined for the train split")
     if spec.kind is CorruptionKind.NONE or math.floor(spec.fraction * len(dataset)) == 0:
         return dataset
     feats, labels = dataset.stack()
@@ -308,7 +300,7 @@ def apply_corruption(dataset: Dataset, spec: CorruptionSpec) -> Dataset:
         feats = feats.copy()
     codes = dataset.kind_codes.copy()
     _corrupt_rows(feats, labels, codes, dataset.num_classes, spec)
-    return Dataset(feats, labels, dataset.num_classes, dataset.split, codes)
+    return Dataset(feats, labels, dataset.num_classes, codes)
 
 
 def _corrupt_rows(feats, labels, codes, num_classes: int, spec: CorruptionSpec,

@@ -93,11 +93,8 @@ def _usable_cores() -> int:
 # Whether this process has a core to spare, so run_training evaluates on a
 # helper thread.  A direct library call runs in one process; cli._run_seeds
 # sets this from the number of processes it runs at once.  Without a spare
-# core, evaluation stays inline on the live parameters: with the helper forced
-# on in every process, a 2-core `benchmark --threads 2` grid (perfbench
-# cli_grid, medians of 10 pairs) fed 6.5% fewer candidates per second on
-# uniform, 7.4% on sb_loss, 7.3% on sb_entropy and 4.8% on vr, and copying the
-# parameters for an inline evaluation cost uniform, sb_loss and sb_entropy 1-5.5%.
+# core the helper would compete with training, so evaluation stays inline on
+# the live parameters, uncopied.
 _spare_core = _usable_cores() > 1
 
 
@@ -134,31 +131,27 @@ class _Evaluations:
     the run finishes, at the iteration it was taken.  Otherwise each
     evaluation runs at once on the run's own parameters.  An evaluation that
     overflows rolls the run back to its update, as if the run had stopped
-    there, and raises TrainingDivergedError.
+    there: it truncates the run's batch record, restores the parameters it
+    evaluated, and raises TrainingDivergedError.
     """
 
-    def __init__(self, params, test_feats, test_labels, metrics: RunMetrics,
-                 batch_log: list | None):
-        self.live, self.metrics, self.log = params, metrics, batch_log
-        self.log_start = 0 if batch_log is None else len(batch_log)
+    def __init__(self, params, test_feats, test_labels, metrics: RunMetrics, record: list):
+        self.live, self.metrics, self.record = params, metrics, record
         self.pending = None  # (iteration, future) of the evaluation in flight
-        if _spare_core:
-            self.params, self.picks = params.copy(), metrics.picks.copy()
-            self.pool = ThreadPoolExecutor(1, thread_name_prefix="lossprio-eval")
-        else:
-            self.params, self.picks, self.pool = params, metrics.picks, None
+        self.params = params.copy() if _spare_core else params
+        self.pool = (ThreadPoolExecutor(1, thread_name_prefix="lossprio-eval")
+                     if _spare_core else None)
         self.args = (self.params, test_feats, test_labels,
                      Workspace(params, min(len(test_labels), EVAL_CHUNK)))
 
     def hand_off(self) -> None:
         """Evaluate the parameters as they stand after the last emitted batch."""
         self.collect()
-        it = self.metrics.num_iterations - 1
+        it = len(self.record) - 1
         if self.pool is None:
             self._record(it, _error_or_none(*self.args))
         else:
             np.copyto(self.params.vector, self.live.vector)
-            np.copyto(self.picks, self.metrics.picks)
             self.pending = (it, self.pool.submit(_error_or_none, *self.args))
 
     def collect(self) -> None:
@@ -168,19 +161,13 @@ class _Evaluations:
             self._record(it, future.result())
 
     def _record(self, it: int, err: float | None) -> None:
-        m = self.metrics
         if err is None:
-            for series in (m.backprops_series, m.corrupted_frac_series, m.gate_on_series):
-                if series is not None:
-                    del series[it + 1 :]
-            if self.log is not None:
-                del self.log[self.log_start + it + 1 :]
-            np.copyto(m.picks, self.picks)
+            del self.record[it + 1 :]
             np.copyto(self.live.vector, self.params.vector)
             # one update per emitted batch, so it + 1 updates were made
             raise TrainingDivergedError("overflow while evaluating", iteration=it + 1)
-        m.eval_iterations.append(it)
-        m.eval_errors.append(err)
+        self.metrics.eval_iterations.append(it)
+        self.metrics.eval_errors.append(err)
 
     def close(self) -> None:
         """Wait for the evaluation in flight, unrecorded, and stop the helper."""
@@ -205,7 +192,8 @@ def run_training(
     partial batch.  On divergence the partial metrics are returned with
     the diverged flag set instead of raising.  When this process has a core
     to spare, test error is taken on one helper thread while training goes
-    on; every output is the same either way.
+    on; every output is the same either way.  The run's batches are added to
+    batch_log, after any entries it holds, when the run returns.
     """
     if train.num_classes != test.num_classes or train.feature_dim != test.feature_dim:
         raise ConfigurationError("train and test splits disagree on classes or width")
@@ -219,7 +207,6 @@ def run_training(
 
     feats, labels = train.stack()
     test_feats, test_labels = test.stack()
-    mask = train.corrupted_mask
 
     rng = np.random.default_rng(trainer_cfg.seed)
     arch = [train.feature_dim, *trainer_cfg.hidden_layers, train.num_classes]
@@ -228,14 +215,13 @@ def run_training(
     workspace = Workspace(params, batch)
     prio = make_prioritizer(prio_cfg, batch)
 
-    metrics = RunMetrics(
-        seed=trainer_cfg.seed,
-        gate_on_series=[] if prio_cfg.kind == "vr" else None,
-        picks=np.zeros(len(train), dtype=np.int64),
-    )
+    metrics = RunMetrics(seed=trainer_cfg.seed)
+    # (rows, gate_on) of each emitted batch, in order; the rows are read when
+    # the run ends, and no selector writes to a batch once it has emitted it
+    record: list = []
     next_eval = eval_every
     batches_per_epoch = len(train) // batch
-    evaluations = _Evaluations(params, test_feats, test_labels, metrics, batch_log)
+    evaluations = _Evaluations(params, test_feats, test_labels, metrics, record)
 
     try:
         # the finite checks below and the evaluations' own errstate catch every
@@ -261,13 +247,7 @@ def run_training(
                     for chosen, gate_on in prio.feed(rows, losses, probabilities):
                         sgd_step(params, *workspace.gather(feats, labels, chosen),
                                  trainer_cfg, state, lr, workspace)
-                        np.add.at(metrics.picks, chosen, 1)
-                        metrics.backprops_series.append(state.backprops)
-                        metrics.corrupted_frac_series.append(float(mask[chosen].mean()))
-                        if gate_on is not None:
-                            metrics.gate_on_series.append(int(gate_on))
-                        if batch_log is not None:
-                            batch_log.append(chosen.tolist())
+                        record.append((chosen, gate_on))
                         if state.backprops >= next_eval:
                             evaluations.hand_off()
                             while next_eval <= state.backprops:
@@ -280,6 +260,14 @@ def run_training(
     finally:
         evaluations.close()
 
+    emitted = np.array([chosen for chosen, _ in record], dtype=np.int64).reshape(-1, batch)
+    metrics.backprops_series = list(range(batch, batch * (len(record) + 1), batch))
+    metrics.corrupted_frac_series = train.corrupted_mask[emitted].mean(axis=1).tolist()
+    if prio_cfg.kind == "vr":
+        metrics.gate_on_series = [int(gate_on) for _, gate_on in record]
+    metrics.picks = np.bincount(emitted.ravel(), minlength=len(train))
+    if batch_log is not None:
+        batch_log.extend(emitted.tolist())
     if checkpoint_path is not None:
         save_checkpoint(params, checkpoint_path)
     return metrics
@@ -327,13 +315,10 @@ def compute_speedup(baseline, method) -> SpeedupReport:
 
 @dataclass
 class SeedAggregate:
-    """Pointwise mean and sample standard deviation across runs."""
+    """Pointwise mean test error across runs."""
 
-    num_runs: int
     backprops: list[int]
     test_error_mean: list[float]
-    test_error_std: list[float]
-    best_errors: list[float]
 
     @property
     def eval_points(self) -> list[tuple[int, float]]:
@@ -365,14 +350,7 @@ def aggregate_seeds(runs: list[RunMetrics]) -> SeedAggregate:
                 f"eval schedules disagree: {grids[0][:5]}... vs {other[:5]}..."
             )
     errors = np.array([r.eval_errors[:n_eval] for r in runs], dtype=np.float64)
-    std = errors.std(axis=0, ddof=1) if len(runs) > 1 else np.zeros(n_eval)
-    return SeedAggregate(
-        num_runs=len(runs),
-        backprops=grids[0],
-        test_error_mean=errors.mean(axis=0).tolist(),
-        test_error_std=std.tolist(),
-        best_errors=[r.best_test_error for r in runs],
-    )
+    return SeedAggregate(backprops=grids[0], test_error_mean=errors.mean(axis=0).tolist())
 
 
 def to_json(value, indent: int | None = None) -> str:

@@ -501,7 +501,6 @@ class TestBuildDatasets:
     def test_synthetic_sizes_and_splits(self):
         train, test = build_datasets(self.small_cfg())
         assert (len(train), len(test)) == (300, 90)
-        assert (train.split, test.split) == ("train", "test")
         assert not train.corrupted_mask.any()
 
     def test_corruption_applied_to_train_only(self):

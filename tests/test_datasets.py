@@ -74,7 +74,6 @@ class TestSyntheticGeneration:
         train, test = generate_synthetic_pair(300, 100, 5, 8, seed=2)
         short = synthetic(300, 5, 8, seed=2)
         assert np.array_equal(train.stack()[0], short.stack()[0])
-        assert train.split == "train" and test.split == "test"
         assert len(test) == 100
 
     def test_equals_the_whole_array_formula(self):
@@ -325,11 +324,6 @@ class TestApplyCorruption:
             ex.corruption_kind for ex in expected
         ]
 
-    def test_test_split_rejected(self):
-        _, test = generate_synthetic_pair(100, 50, 4, 8, seed=1)
-        with pytest.raises(ConfigurationError):
-            apply_corruption(test, CorruptionSpec(kind="gaussian", fraction=0.1, seed=0))
-
     @pytest.mark.parametrize("fraction", [-0.1, 1.5])
     def test_bad_fraction_rejected(self, fraction):
         with pytest.raises(ConfigurationError):
@@ -343,7 +337,7 @@ class TestApplyCorruption:
 class TestDatasetValidation:
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ConfigurationError, match="example 1: label 5"):
-            Dataset(np.zeros((2, 2)), np.array([0, 5]), num_classes=2, split="train")
+            Dataset(np.zeros((2, 2)), np.array([0, 5]), num_classes=2)
 
     def test_inconsistent_corruption_flag_rejected(self):
         with pytest.raises(ConfigurationError):

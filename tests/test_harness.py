@@ -5,7 +5,6 @@ import hashlib
 import itertools
 import json
 import math
-import statistics
 import sys
 import threading
 import time
@@ -174,6 +173,41 @@ class TestRunTraining:
         assert metrics.status == "diverged"
         assert metrics.num_iterations == 1 and metrics.eval_errors == []
 
+    def test_diverged_run_logs_its_batches_after_existing_entries(self):
+        train, test = tiny_pair()
+        wild = tiny_trainer(learning_rate=1e160, weight_decay=1e160, momentum=0.0)
+        log = [[-1]]
+        metrics = run_training(
+            train, test, wild, PrioritizerConfig(kind="uniform", seed=1),
+            eval_every=64, batch_log=log,
+        )
+        assert metrics.diverged
+        assert log[0] == [-1]
+        assert len(log) - 1 == metrics.num_iterations
+        batches = np.array(log[1:], dtype=np.int64)
+        assert np.array_equal(metrics.picks, np.bincount(batches.ravel(),
+                                                         minlength=len(train)))
+
+    def test_raising_call_leaves_batch_log_as_it_was(self, monkeypatch, tmp_path):
+        # the batches reach batch_log only when run_training returns
+        steps = itertools.count()
+        real_step = harness.sgd_step
+
+        def failing_step(*args):
+            if next(steps) == 5:
+                raise RuntimeError("step failed")
+            real_step(*args)
+
+        monkeypatch.setattr(harness, "sgd_step", failing_step)
+        train, test = tiny_pair()
+        log, path = ["kept"], tmp_path / "model.npz"
+        with pytest.raises(RuntimeError, match="step failed"):
+            run_training(train, test, tiny_trainer(),
+                         PrioritizerConfig(kind="uniform", seed=1), eval_every=64,
+                         batch_log=log, checkpoint_path=path)
+        assert log == ["kept"]
+        assert not path.exists()
+
     def test_split_mismatch_rejected(self):
         # run_training owns the rule that both splits fit the model it builds
         train, _ = tiny_pair()
@@ -301,22 +335,12 @@ class TestAggregateSeeds:
         run = make_run(1, [0.5, 0.3, 0.2])
         agg = aggregate_seeds([run])
         assert agg.test_error_mean == [0.5, 0.3, 0.2]
-        assert agg.test_error_std == [0.0, 0.0, 0.0]
         assert agg.backprops == [64, 128, 192]
         assert agg.best_test_error == 0.2
 
     def test_two_run_mean_and_sample_std(self):
         agg = aggregate_seeds([make_run(1, [0.1, 0.4]), make_run(2, [0.2, 0.6])])
         assert agg.test_error_mean == pytest.approx([0.15, 0.5])
-        expected_std = [statistics.stdev([0.1, 0.2]), statistics.stdev([0.4, 0.6])]
-        assert agg.test_error_std == pytest.approx(expected_std)
-        assert agg.best_errors == [0.1, 0.2]
-
-    def test_identical_runs_have_exactly_zero_std(self):
-        # dyadic errors so the pointwise mean is exact and std collapses to 0
-        runs = [make_run(s, [0.375, 0.125]) for s in (1, 2, 3)]
-        agg = aggregate_seeds(runs)
-        assert agg.test_error_std == [0.0, 0.0]
 
     def test_shorter_run_truncates_the_grid(self):
         agg = aggregate_seeds([make_run(1, [0.5, 0.4, 0.3]), make_run(2, [0.6, 0.2])])
@@ -535,12 +559,22 @@ def helper_cases():
 
 
 def run_on(helper, case, tmp_path, monkeypatch):
-    """Everything a run returns and writes, with or without the helper thread."""
+    """Everything a run returns and writes, with or without the helper thread.
+
+    The run's picks and corrupted shares must agree with the batches it
+    logged after an entry the log already held.
+    """
     monkeypatch.setattr(harness, "_spare_core", helper)
     train, test, trainer, prio, eval_every = case
-    log, path = [], tmp_path / f"model_{helper}.npz"
+    sentinel = ["logged before the run"]
+    log, path = [sentinel], tmp_path / f"model_{helper}.npz"
     m = run_training(train, test, trainer, prio, eval_every, batch_log=log,
                      checkpoint_path=path)
+    assert log[0] is sentinel
+    log = log[1:]
+    batches = np.array(log, dtype=np.int64).reshape(-1, trainer.batch_size)
+    assert np.array_equal(m.picks, np.bincount(batches.ravel(), minlength=len(train)))
+    assert m.corrupted_frac_series == [float(train.corrupted_mask[b].mean()) for b in batches]
     return ([m.seed, m.backprops_series, m.corrupted_frac_series, m.gate_on_series,
              m.eval_iterations, m.eval_errors, m.picks.tolist(), m.diverged],
             log, path.read_bytes())
