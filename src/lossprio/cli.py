@@ -13,7 +13,7 @@ import os
 import signal
 import sys
 from collections import namedtuple
-from concurrent.futures import Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from multiprocessing import get_all_start_methods, get_context
@@ -52,12 +52,10 @@ def _resolve_output_dir(cli_out: str | None, config_out: str | None, fallback_na
 # One training run: configs (cfg gives the dataset, trainer and eval_every), a
 # seed and a run directory, never arrays; a cell's first job writes snapshot.
 _Job = namedtuple("_Job", "cfg corruption prio seed run_dir snapshot")
-_worker_cells: dict = {}  # a worker's last-built cell, kept across its jobs
 
 
-def _run_job(job: _Job, cells: dict | None = None):
+def _run_job(job: _Job, cells: dict):
     """Train one job on its cell's splits, rebuilt unless they are the last built."""
-    cells = _worker_cells if cells is None else cells
     if cells.get("key") != (job.cfg.dataset, job.corruption):
         cells.clear()  # drop the last cell's splits before building the next
         cells["splits"] = build_datasets(job.cfg, job.corruption)
@@ -75,7 +73,7 @@ def _run_job(job: _Job, cells: dict | None = None):
     return metrics
 
 
-_worker_claims = None  # a worker's view of its _run_seeds' claims
+_worker_claims = None  # a worker's claims, which reach it only through its initializer
 
 
 def _start_process(spare_core: bool, claims=None) -> None:
@@ -108,9 +106,20 @@ def _claim(claims, i: int) -> bool:
     return free
 
 
-def _run_unclaimed(i: int, job: _Job):
-    """A worker's RunMetrics for job i, or None if the calling process took it."""
-    return _run_job(job) if _claim(_worker_claims, i) else None
+def _run_claimed(jobs: list[_Job], claims, order) -> dict:
+    """{i: RunMetrics, or the exception it raised} for each job i this process
+    claims first, walking the jobs in order with one cell cache.  Claims of
+    None are this process's own: a worker's, from its initializer, or none in
+    a process without workers, which then runs every job."""
+    claims = _worker_claims if claims is None else claims
+    cells, runs = {}, {}
+    for i in order:
+        if claims is None or _claim(claims, i):
+            try:
+                runs[i] = _run_job(jobs[i], cells)
+            except Exception as exc:  # raised in job order by _run_seeds
+                runs[i] = exc
+    return runs
 
 
 def _worker_context():
@@ -128,8 +137,9 @@ def _worker_context():
     return context
 
 
-def _submit(pool: ProcessPoolExecutor, jobs: list[_Job]) -> list[Future]:
-    """The pool's future of each job.  Its workers start here, with SIGINT
+def _submit(pool: ProcessPoolExecutor, jobs: list[_Job], workers: int) -> list[Future]:
+    """One future per worker, each handed the whole job list once to walk
+    from the front with _run_claimed.  The workers start here, with SIGINT
     blocked as multiprocessing starts its resource tracker and fork server,
     which they inherit the block from, so an interrupt cannot reach one
     before it ignores SIGINT; one that comes meanwhile reaches this process
@@ -137,7 +147,7 @@ def _submit(pool: ProcessPoolExecutor, jobs: list[_Job]) -> list[Future]:
     masked = hasattr(signal, "pthread_sigmask")  # not on Windows
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT}) if masked else None
     try:
-        return [pool.submit(_run_unclaimed, i, job) for i, job in enumerate(jobs)]
+        return [pool.submit(_run_claimed, jobs, None, range(len(jobs))) for _ in range(workers)]
     finally:
         if masked:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -146,13 +156,13 @@ def _submit(pool: ProcessPoolExecutor, jobs: list[_Job]) -> list[Future]:
 def _run_seeds(jobs: list[_Job], threads: int) -> list:
     """Every job's RunMetrics in job order, from this process and threads - 1 workers.
 
-    Workers (see _worker_context), always fewer than the jobs, take jobs from
-    the front of the list; this process walks it from the back and runs each
-    job it claims first, even one the pool has already queued to a worker.
-    No future is ever cancelled, and a pool that breaks fails them all, so a
-    worker that dies fails the command even if this process ran every job.
-    The first exception in job order is raised.  Each process runs BLAS on
-    one thread, and evaluates on a helper thread only while the processes
+    Each worker (see _worker_context), always fewer than the jobs, is handed
+    the job list once; every process runs the jobs it claims first, workers
+    walking from the front and this process from the back, so no job runs
+    twice and no process idles while one is unclaimed.  A worker that dies
+    breaks the pool and fails the command, even if this process ran every
+    job.  The first exception in job order is raised.  Each process runs BLAS
+    on one thread, and evaluates on a helper thread only while the processes
     leave a core spare.  perfbench's span probes patch this function by name.
     """
     processes = min(threads, len(jobs))
@@ -162,30 +172,20 @@ def _run_seeds(jobs: list[_Job], threads: int) -> list:
     _start_process(spare_core)
     pool = ProcessPoolExecutor(processes - 1, mp_context=context, initializer=_start_process,
                                initargs=(spare_core, claims)) if processes > 1 else None
-    cells: dict = {}
-    mine: list[Future | None] = [None] * len(jobs)  # the jobs this process ran
     try:
-        futures = _submit(pool, jobs) if pool else [Future() for _ in jobs]
-        for i in reversed(range(len(jobs))):
-            if pool is None or _claim(claims, i):
-                mine[i] = Future()
-                try:
-                    mine[i].set_result(_run_job(jobs[i], cells))
-                except Exception as exc:  # raised in job order below, as from a worker
-                    mine[i].set_exception(exc)
-        # the workers' runs end before the claims below take every job
-        wait([pooled for pooled, ran in zip(futures, mine) if ran is None])
+        futures = _submit(pool, jobs, processes - 1) if pool else []
+        done = _run_claimed(jobs, claims, reversed(range(len(jobs))))
+        for future in futures:  # each ends after the runs its worker claimed
+            done.update(future.result())
     finally:
         harness._spare_core = before
         if pool is not None:
             claims[:] = [1] * len(jobs)  # after an interrupt, no worker starts a job
             pool.shutdown()
-    runs = []
-    for pooled, ran in zip(futures, mine):
-        # a shut-down pool's futures are done: a worker's run or error, None
-        # for a job this process took, or the pool's error if a worker died
-        run = pooled.result() if pooled.done() else None
-        runs.append(ran.result() if run is None else run)
+    runs = [done[i] for i in range(len(jobs))]
+    for run in runs:
+        if isinstance(run, Exception):
+            raise run
     return runs
 
 
@@ -245,43 +245,34 @@ def cmd_benchmark(cfg: BenchmarkConfig, out_dir: Path, threads: int) -> int:
         for i, (prio, name) in enumerate(trained)
         for j, seed in enumerate(cfg.seeds)
     ]
-    all_runs = _run_seeds(jobs, threads)
-    for job, metrics in zip(jobs, all_runs):
+    groups: dict = {}  # each variant directory's runs, in seed order
+    for job, metrics in zip(jobs, _run_seeds(jobs, threads)):
         if metrics.diverged and not metrics.eval_errors:  # a run failure, not bad input
             cell, variant = job.run_dir.parts[-3:-1]  # out_dir / cell / variant / seed_<n>
             print(f"error: {cell} {variant} seed {job.seed}: no evaluation before update "
                   f"{metrics.num_iterations} [diverged]", file=sys.stderr)
             return 1
-    results = iter(all_runs)
+        groups.setdefault(job.run_dir.parent, []).append(metrics)
     summary_rows = []
 
     for kind, fraction in cfg.corruption_grid:
         cell = f"{kind}_{fraction:g}"
         cell_dir = out_dir / cell
-        base_runs = [next(results) for _ in cfg.seeds]
-        base_agg = _aggregate(base_runs, f"{cell} uniform_baseline")
+        base_agg = _aggregate(groups[cell_dir / "uniform_baseline"], f"{cell} uniform_baseline")
 
         for variant in cfg.variants:
             name = variant.label()
-            if variant.kind == "uniform":
-                runs = base_runs
-            else:
-                runs = [next(results) for _ in cfg.seeds]
+            runs = groups[cell_dir / ("uniform_baseline" if variant.kind == "uniform" else name)]
             report = compute_speedup(base_agg, _aggregate(runs, f"{cell} {name}"))
             harness.write_json(cell_dir / name / "speedup.json", report)
-            summary_rows.append(
-                [kind, f"{fraction:g}", name,
-                 _format_speedup(report.speedup), f"{report.best_error:.4f}"]
-            )
-            print(
-                f"{cell} {name}: speedup {_format_speedup(report.speedup)}, "
-                f"best error {report.best_error:.4f}"
-            )
+            speedup, best = _format_speedup(report.speedup), f"{report.best_error:.4f}"
+            summary_rows.append([kind, f"{fraction:g}", name, speedup, best])
+            print(f"{cell} {name}: speedup {speedup}, best error {best}")
 
     harness.write_csv(out_dir / "summary.csv",
                       ["corruption", "fraction", "variant", "speedup", "best_error"], summary_rows)
     print(f"summary written to {out_dir / 'summary.csv'}")
-    return 1 if any(m.diverged for m in all_runs) else 0
+    return 1 if any(m.diverged for runs in groups.values() for m in runs) else 0
 
 
 def cmd_selftest() -> int:

@@ -46,15 +46,20 @@ def _seed(value) -> int:
     return seed
 
 
+def _check_distinct(values, message: str) -> None:
+    """Raise message, formatted with the first value that occurs twice in values."""
+    repeated = next((x for i, x in enumerate(values) if x in values[:i]), None)
+    if repeated is not None:
+        raise ConfigurationError(message.format(repeated))
+
+
 def _seed_tuple(values) -> tuple[int, ...]:
     """A nonempty tuple of distinct nonnegative seeds: a repeated seed would
     write one run directory from two runs and count twice in the aggregates."""
     seeds = _convert_each("seeds", _seed, values)
     if not seeds:
         raise ConfigurationError("seeds must not be empty")
-    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
-    if repeated is not None:
-        raise ConfigurationError(f"seeds list seed {repeated} twice")
+    _check_distinct(seeds, "seeds list seed {} twice")
     return seeds
 
 
@@ -150,6 +155,8 @@ class BenchmarkConfig:
         object.__setattr__(self, "corruption_grid", grid)
         if not grid:
             raise ConfigurationError("corruption_grid must not be empty")
+        _check_distinct([f"{kind}_{fraction:g}" for kind, fraction in grid],
+                        "corruption_grid: two cells are named {}")  # each writes its directory
         if self.corruption_seed < 0:
             raise ConfigurationError(f"corruption_seed {self.corruption_seed}: "
                                      "must be nonnegative")
@@ -157,10 +164,8 @@ class BenchmarkConfig:
             raise ConfigurationError("eval_every must be positive")
         if not self.variants:  # one of each kind, at its defaults
             object.__setattr__(self, "variants", tuple(map(PrioritizerConfig, PRIORITIZER_KINDS)))
-        labels = [v.label() for v in self.variants]
-        repeated = next((x for i, x in enumerate(labels) if x in labels[:i]), None)
-        if repeated is not None:  # both would write one run directory
-            raise ConfigurationError(f"variants: two variants are labelled {repeated}")
+        _check_distinct([v.label() for v in self.variants],
+                        "variants: two variants are labelled {}")  # each writes its directory
         for i, variant in enumerate(self.variants):
             _check_selector_seed(f"variants[{i}]", variant, self.seeds)
 

@@ -430,6 +430,21 @@ class TestRunsAcrossProcesses:
         assert main(argv) == 0
         assert len(process_starts) == 1
 
+    def test_first_exception_in_job_order_is_raised(self, tmp_path, capsys, monkeypatch):
+        # one process walks the runs from the back, so seed 3 fails before seed 2
+        run_training = cli.run_training
+
+        def fail_after_first(train, test, trainer, *args, **kwargs):
+            if trainer.seed > 1:
+                raise ConfigurationError(f"seed {trainer.seed}")
+            return run_training(train, test, trainer, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_training", fail_after_first)
+        cfg = write_config(tmp_path, dict(SMALL_EXPERIMENT, seeds=[1, 2, 3]))
+        argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed 2\n"
+
     def test_run_without_evaluations_exits_two_naming_the_seed(self, tmp_path, capsys,
                                                                where):
         cfg = write_config(tmp_path, {
@@ -622,7 +637,7 @@ class TestInterrupt:
         claims = context.Array("b", [1])  # taken, so the worker runs no job
         with ProcessPoolExecutor(1, mp_context=context, initializer=cli._start_process,
                                  initargs=(False, claims)) as pool:
-            assert [future.result() for future in cli._submit(pool, [None])] == [None]
+            assert [future.result() for future in cli._submit(pool, [None], 1)] == [{}]
             mask = pool.submit(signal.pthread_sigmask, signal.SIG_BLOCK, []).result()
             assert signal.SIGINT in mask
             assert pool.submit(signal.getsignal, signal.SIGINT).result() == signal.SIG_IGN
@@ -659,7 +674,7 @@ def test_blas_threads_do_not_change_bytes_at_mnist_width(tmp_path):
                                                    (2, "2", False), (4, "2", True)])
 def test_runs_evaluate_on_a_helper_only_while_a_core_is_spare(tmp_path, monkeypatch, cores,
                                                               threads, spare):
-    seen, workers = [], []
+    seen, workers, submits = [], [], []
     run_training = cli.run_training
 
     class IdlePool:  # records what its workers are told and runs nothing itself
@@ -667,7 +682,10 @@ def test_runs_evaluate_on_a_helper_only_while_a_core_is_spare(tmp_path, monkeypa
             workers.append(initargs[0])
 
         def submit(self, *args):
-            return Future()  # never run: this process claims and takes every run
+            submits.append(args)
+            future = Future()  # a worker that found every run claimed
+            future.set_result({})
+            return future
 
         def shutdown(self):
             pass
@@ -682,6 +700,7 @@ def test_runs_evaluate_on_a_helper_only_while_a_core_is_spare(tmp_path, monkeypa
                  "--threads", threads]) == 0
     assert seen == [spare, spare]
     assert workers == ([spare] if threads == "2" else [])
+    assert len(submits) == len(workers)  # one task per worker, not one per run
     assert harness._spare_core == before
 
 
@@ -701,37 +720,6 @@ def test_workers_of_every_call_fork_from_one_server(tmp_path, monkeypatch):
         argv = ["train", "--config", str(cfg), "--out", str(tmp_path / out), "--threads", "2"]
         assert main(argv) == 0
     assert len(parents) == 2 and parents[0] == parents[1] != os.getpid()
-
-
-def test_this_process_runs_every_job_no_worker_has_started(tmp_path, monkeypatch):
-    # the pool marks a job running once it queues it to a worker, and this
-    # process used to leave every such job to the worker
-    ran = []
-    run_training = cli.run_training
-
-    class Queued(Future):
-        def running(self):
-            return True
-
-        def result(self, timeout=None):
-            raise AssertionError("waited on a job no worker started")
-
-    class QueuingPool:  # queues every job and starts none
-        def __init__(self, *args, **kwargs):
-            pass
-
-        def submit(self, *args):
-            return Queued()
-
-        def shutdown(self):
-            pass
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", QueuingPool)
-    monkeypatch.setattr(cli, "run_training", lambda *a, **k: ran.append(1) or run_training(*a, **k))
-    cfg = write_config(tmp_path, dict(SMALL_EXPERIMENT, seeds=[1, 2, 3]))
-    argv = ["train", "--config", str(cfg), "--out", str(tmp_path / "o"), "--threads", "2"]
-    assert main(argv) == 0
-    assert len(ran) == 3
 
 
 def test_each_job_is_claimed_once_under_constant_thread_switches():

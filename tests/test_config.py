@@ -342,7 +342,9 @@ def benchmark_configs(draw):
     variants = st.lists(prioritizers(trainer.batch_size), max_size=4,
                         unique_by=PrioritizerConfig.label)
     return BenchmarkConfig(
-        dataset=draw(datasets), corruption_grid=draw(st.lists(cells, min_size=1, max_size=4)),
+        dataset=draw(datasets),
+        corruption_grid=draw(st.lists(cells, min_size=1, max_size=4,
+                                      unique_by=lambda cell: f"{cell[0]}_{cell[1]:g}")),
         corruption_seed=draw(seeds), variants=tuple(draw(variants)), trainer=trainer,
         seeds=draw(seed_lists), eval_every=draw(st.integers(1, 10**6)), output_dir=draw(paths),
     )
@@ -485,6 +487,17 @@ class TestBenchmarkParsing:
         assert main(["benchmark", "--config", str(path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"error: {path}: variants: two variants are labelled sb_loss_b1\n")
+        assert not out.exists()
+
+    def test_cells_sharing_a_directory_exit_two_before_writing(self, tmp_path, capsys):
+        # both would write random_label_0.1/, and be aggregated as one cell
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps({"corruption_grid": [["random_label", 0.1],
+                                                        ["random_label", 0.1000001]]}))
+        out = tmp_path / "o"
+        assert main(["benchmark", "--config", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: corruption_grid: two cells are named random_label_0.1\n")
         assert not out.exists()
 
 
