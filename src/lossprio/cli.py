@@ -258,12 +258,13 @@ def cmd_benchmark(cfg: BenchmarkConfig, out_dir: Path, threads: int) -> int:
     for kind, fraction in cfg.corruption_grid:
         cell = f"{kind}_{fraction:g}"
         cell_dir = out_dir / cell
-        base_agg = _aggregate(groups[cell_dir / "uniform_baseline"], f"{cell} uniform_baseline")
+        base_curve = _aggregate(groups[cell_dir / "uniform_baseline"], f"{cell} uniform_baseline")
 
         for variant in cfg.variants:
             name = variant.label()
-            runs = groups[cell_dir / ("uniform_baseline" if variant.kind == "uniform" else name)]
-            report = compute_speedup(base_agg, _aggregate(runs, f"{cell} {name}"))
+            curve = (base_curve if variant.kind == "uniform"
+                     else _aggregate(groups[cell_dir / name], f"{cell} {name}"))
+            report = compute_speedup(base_curve, curve)
             harness.write_json(cell_dir / name / "speedup.json", report)
             speedup, best = _format_speedup(report.speedup), f"{report.best_error:.4f}"
             summary_rows.append([kind, f"{fraction:g}", name, speedup, best])

@@ -284,59 +284,34 @@ class SpeedupReport:
     best_error: float
 
 
-def _first_crossing(eval_points, threshold: float) -> int | None:
-    for backprops, err in eval_points:
-        if err <= threshold:
-            return backprops
-    return None
-
-
 def compute_speedup(baseline, method) -> SpeedupReport:
-    """Backprops the baseline needed to reach SPEEDUP_SLACK * its own best
-    error, divided by the backprops the method needed to reach the same level.
+    """Backprops the baseline curve needed to reach SPEEDUP_SLACK * its own
+    best error, divided by the backprops the method curve needed to reach it.
 
-    A method that never reaches the threshold gets no speedup value (the
-    benchmark renders that as a dash).  Both arguments just need eval_points
-    and best_test_error, so per-seed runs and seed averages both work.
+    A curve is a list of (backprops, test error) pairs: a run's eval_points,
+    or the seeds' mean from aggregate_seeds.  A method that never reaches the
+    threshold gets no speedup value (the benchmark renders that as a dash).
     """
-    threshold = SPEEDUP_SLACK * baseline.best_test_error
-    base_cross = _first_crossing(baseline.eval_points, threshold)
-    if base_cross is None:
-        raise ConfigurationError("baseline never reaches its own threshold")
-    method_cross = _first_crossing(method.eval_points, threshold)
+    if not baseline or not method:
+        raise AggregationError("a curve has no evaluation points")
+    threshold = SPEEDUP_SLACK * min(err for _, err in baseline)
+    base_cross = next(bp for bp, err in baseline if err <= threshold)
+    method_cross = next((bp for bp, err in method if err <= threshold), None)
     return SpeedupReport(
         threshold_error=threshold,
         baseline_backprops=base_cross,
         method_backprops=method_cross,
         speedup=None if method_cross is None else base_cross / method_cross,
-        best_error=method.best_test_error,
+        best_error=min(err for _, err in method),
     )
 
 
-@dataclass
-class SeedAggregate:
-    """Pointwise mean test error across runs."""
-
-    backprops: list[int]
-    test_error_mean: list[float]
-
-    @property
-    def eval_points(self) -> list[tuple[int, float]]:
-        return list(zip(self.backprops, self.test_error_mean))
-
-    @property
-    def best_test_error(self) -> float:
-        if not self.test_error_mean:
-            raise AggregationError("aggregate has no evaluation points")
-        return min(self.test_error_mean)
-
-
-def aggregate_seeds(runs: list[RunMetrics]) -> SeedAggregate:
-    """Average runs of one method pointwise over their shared eval schedule.
+def aggregate_seeds(runs: list[RunMetrics]) -> list[tuple[int, float]]:
+    """One method's mean curve: (backprops, mean test error) over its runs.
 
     Selection is stochastic, so runs may end a few evaluations apart; the
-    shared prefix is aggregated.  Runs whose schedules genuinely disagree
-    (different eval cadence or batch size) raise an aggregation error.
+    curve covers the evaluations every run reached.  Runs whose schedules
+    disagree (different eval cadence or batch size) raise an aggregation error.
     """
     if not runs:
         raise AggregationError("no runs to aggregate")
@@ -350,7 +325,7 @@ def aggregate_seeds(runs: list[RunMetrics]) -> SeedAggregate:
                 f"eval schedules disagree: {grids[0][:5]}... vs {other[:5]}..."
             )
     errors = np.array([r.eval_errors[:n_eval] for r in runs], dtype=np.float64)
-    return SeedAggregate(backprops=grids[0], test_error_mean=errors.mean(axis=0).tolist())
+    return list(zip(grids[0], errors.mean(axis=0).tolist()))
 
 
 def to_json(value, indent: int | None = None) -> str:

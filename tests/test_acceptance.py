@@ -122,8 +122,8 @@ def test_clean_data_speedup(capsys, clean_pair):
     elapsed = time.perf_counter() - t0
     shown = "none" if report.speedup is None else f"{report.speedup:.2f}"
     detail = (
-        f"speedup {shown}, base best {base.best_test_error:.4f}, "
-        f"sb best {method.best_test_error:.4f}, {elapsed:.1f}s"
+        f"speedup {shown}, base best {min(err for _, err in base):.4f}, "
+        f"sb best {report.best_error:.4f}, {elapsed:.1f}s"
     )
     ok = report.speedup is not None and report.speedup > 1.0 and elapsed < 300
     emit(capsys, "clean-speedup", ok, detail)

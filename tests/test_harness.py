@@ -8,7 +8,6 @@ import math
 import sys
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -258,39 +257,32 @@ class TestEvaluateError:
             evaluate_error(params, np.empty((0, 4)), np.empty(0, dtype=int))
 
 
-def fake_curve(points, best=None):
-    errors = [e for _, e in points]
-    return SimpleNamespace(
-        eval_points=points, best_test_error=min(errors) if best is None else best
-    )
-
-
 class TestComputeSpeedup:
     def test_identical_curves_give_one(self):
-        curve = fake_curve([(5000, 0.5), (10000, 0.2)])
-        report = compute_speedup(curve, fake_curve([(5000, 0.5), (10000, 0.2)]))
+        curve = [(5000, 0.5), (10000, 0.2)]
+        report = compute_speedup(curve, [(5000, 0.5), (10000, 0.2)])
         assert report.threshold_error == pytest.approx(0.24)
         assert report.baseline_backprops == 10000
         assert report.method_backprops == 10000
         assert report.speedup == pytest.approx(1.0)
 
     def test_earlier_crossing_doubles(self):
-        baseline = fake_curve([(5000, 0.5), (10000, 0.2)])
-        method = fake_curve([(5000, 0.23), (10000, 0.2)])
+        baseline = [(5000, 0.5), (10000, 0.2)]
+        method = [(5000, 0.23), (10000, 0.2)]
         report = compute_speedup(baseline, method)
         assert report.speedup == pytest.approx(2.0)
 
     def test_never_reaching_method_reports_none(self):
-        baseline = fake_curve([(5000, 0.5), (10000, 0.2)])
-        method = fake_curve([(5000, 0.9), (10000, 0.8)])
+        baseline = [(5000, 0.5), (10000, 0.2)]
+        method = [(5000, 0.9), (10000, 0.8)]
         report = compute_speedup(baseline, method)
         assert report.method_backprops is None
         assert report.speedup is None
         assert report.best_error == pytest.approx(0.8)
 
     def test_none_round_trips_through_json(self):
-        baseline = fake_curve([(5000, 0.5), (10000, 0.2)])
-        method = fake_curve([(5000, 0.9)])
+        baseline = [(5000, 0.5), (10000, 0.2)]
+        method = [(5000, 0.9)]
         line = harness.to_json(compute_speedup(baseline, method))
         assert '"speedup": null' in line
         restored = json.loads(line)
@@ -306,16 +298,23 @@ class TestComputeSpeedup:
         )
 
     def test_first_crossing_is_taken(self):
-        baseline = fake_curve([(100, 0.3), (200, 0.25), (300, 0.2)])
-        method = fake_curve([(100, 0.24), (200, 0.3), (300, 0.1)])
+        baseline = [(100, 0.3), (200, 0.25), (300, 0.2)]
+        method = [(100, 0.24), (200, 0.3), (300, 0.1)]
         report = compute_speedup(baseline, method)
         assert report.method_backprops == 100
 
-    def test_inconsistent_baseline_rejected(self):
-        # claims a best error its own curve never exhibits
-        baseline = fake_curve([(100, 0.5), (200, 0.4)], best=0.1)
-        with pytest.raises(ConfigurationError):
-            compute_speedup(baseline, baseline)
+    def test_empty_curve_rejected(self):
+        curve = [(100, 0.5), (200, 0.4)]
+        with pytest.raises(AggregationError):
+            compute_speedup([], curve)
+        with pytest.raises(AggregationError):
+            compute_speedup(curve, [])
+
+    def test_a_runs_eval_points_are_a_curve(self):
+        run = make_run(1, [0.5, 0.3, 0.2])
+        report = compute_speedup(run.eval_points, run.eval_points)
+        assert report.best_error == run.best_test_error
+        assert report.speedup == 1.0
 
 
 def make_run(seed, eval_errors, eval_every=64, batch=32, fracs=None):
@@ -333,19 +332,18 @@ def make_run(seed, eval_errors, eval_every=64, batch=32, fracs=None):
 class TestAggregateSeeds:
     def test_single_run_is_mean_with_zero_std(self):
         run = make_run(1, [0.5, 0.3, 0.2])
-        agg = aggregate_seeds([run])
-        assert agg.test_error_mean == [0.5, 0.3, 0.2]
-        assert agg.backprops == [64, 128, 192]
-        assert agg.best_test_error == 0.2
+        assert aggregate_seeds([run]) == [(64, 0.5), (128, 0.3), (192, 0.2)]
+        assert aggregate_seeds([run]) == run.eval_points
 
     def test_two_run_mean_and_sample_std(self):
-        agg = aggregate_seeds([make_run(1, [0.1, 0.4]), make_run(2, [0.2, 0.6])])
-        assert agg.test_error_mean == pytest.approx([0.15, 0.5])
+        curve = aggregate_seeds([make_run(1, [0.1, 0.4]), make_run(2, [0.2, 0.6])])
+        assert [bp for bp, _ in curve] == [64, 128]
+        assert [err for _, err in curve] == pytest.approx([0.15, 0.5])
 
     def test_shorter_run_truncates_the_grid(self):
-        agg = aggregate_seeds([make_run(1, [0.5, 0.4, 0.3]), make_run(2, [0.6, 0.2])])
-        assert agg.backprops == [64, 128]
-        assert agg.test_error_mean == pytest.approx([0.55, 0.3])
+        curve = aggregate_seeds([make_run(1, [0.5, 0.4, 0.3]), make_run(2, [0.6, 0.2])])
+        assert [bp for bp, _ in curve] == [64, 128]
+        assert [err for _, err in curve] == pytest.approx([0.55, 0.3])
 
     def test_disagreeing_grids_rejected(self):
         with pytest.raises(AggregationError):
@@ -360,7 +358,7 @@ class TestAggregateSeeds:
         with pytest.raises(AggregationError):
             aggregate_seeds([make_run(1, [0.5]), empty])
 
-    def test_duck_types_into_speedup(self):
+    def test_mean_curve_feeds_speedup(self):
         base = aggregate_seeds([make_run(1, [0.5, 0.2]), make_run(2, [0.5, 0.2])])
         report = compute_speedup(base, base)
         assert report.speedup == pytest.approx(1.0)

@@ -222,14 +222,14 @@ class TestGradientCheck:
         rng = np.random.default_rng(9)
         params = init_params([6, 4], rng)
         err = gradient_check(params, rng.standard_normal((10, 6)),
-                             rng.integers(4, size=10), epsilon=1e-5, max_coords=28)
+                             rng.integers(4, size=10), epsilon=1e-5)
         assert err < 1e-7
 
     def test_small_mlp(self):
         rng = np.random.default_rng(10)
         params = init_params([8, 16, 4], rng)
         err = gradient_check(params, rng.standard_normal((8, 8)),
-                             rng.integers(4, size=8), epsilon=1e-4, max_coords=212)
+                             rng.integers(4, size=8), epsilon=1e-4)
         assert err < 1e-4
 
     def test_many_seeds_stay_tight(self):
@@ -237,16 +237,8 @@ class TestGradientCheck:
             rng = np.random.default_rng(seed)
             params = init_params([5, 7, 3], rng)
             err = gradient_check(params, rng.standard_normal((6, 5)),
-                                 rng.integers(3, size=6), seed=seed)
+                                 rng.integers(3, size=6))
             assert err < 1e-5, f"seed {seed} gave {err}"
-
-    def test_decay_excluded_from_check(self):
-        # the check probes the loss surface only, so it cannot depend on any
-        # optimizer setting; the analytic route must match without decay
-        rng = np.random.default_rng(12)
-        params = init_params([4, 4, 2], rng)
-        X, y = rng.standard_normal((4, 4)), rng.integers(2, size=4)
-        assert gradient_check(params, X, y, seed=3) == gradient_check(params, X, y, seed=3)
 
     def test_epsilon_outside_stable_range_rejected(self):
         params = init_params([4, 2], 0)

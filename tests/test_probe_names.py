@@ -59,6 +59,28 @@ def test_full_probe_times_the_cli_file_writers(tmp_path):
     assert cli.save_run is harness.save_run  # probe undone
 
 
+
+def test_full_probe_times_the_benchmark_aggregation(tmp_path):
+    # harness.aggregate_s and harness.speedup_s read 0 unless the benchmark
+    # reaches both through the names the probe patches: one speedup per
+    # variant, against curves the benchmark aggregated
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "dataset": {"num_train": 200, "num_test": 60, "num_classes": 4, "feature_dim": 8},
+        "trainer": {"batch_size": 32, "total_epochs": 1, "hidden_layers": [8]},
+        "corruption_grid": [["none", 0.0]],
+        "seeds": [1],
+        "eval_every": 64,
+    }))
+    with layers.Probe(full=True) as probe:
+        argv = ["benchmark", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                "--threads", "1"]
+        assert cli.main(argv) == 0
+    names = [span.name for span in probe.tracer.spans]
+    assert names.count("harness.compute_speedup") == len(PRIORITIZER_KINDS)
+    assert names.count("harness.aggregate_seeds") >= 1
+    assert cli.compute_speedup is harness.compute_speedup  # probe undone
+
 def test_runs_pass_perfbench_output_checks():
     train, test = generate_synthetic_pair(4000, 200, num_classes=4, feature_dim=16, seed=2)
     cfg = TrainerConfig(batch_size=16, total_epochs=2, hidden_layers=(16,), seed=0)
