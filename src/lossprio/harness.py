@@ -99,8 +99,8 @@ _spare_core = _usable_cores() > 1
 
 
 def evaluate_error(params, features, labels, workspace: Workspace | None = None) -> float:
-    """Fraction of examples misclassified, EVAL_CHUNK rows per forward; a
-    workspace must hold that many rows, and a call given none makes one."""
+    """Fraction of examples misclassified, EVAL_CHUNK rows per forward without
+    labels; a workspace must hold that many rows, and a call given none makes one."""
     n = len(labels)
     if n == 0:
         raise ConfigurationError("cannot evaluate on an empty split")
@@ -108,8 +108,8 @@ def evaluate_error(params, features, labels, workspace: Workspace | None = None)
     wrong = 0
     for start in range(0, n, EVAL_CHUNK):
         stop = min(start + EVAL_CHUNK, n)
-        result = forward(params, features[start:stop], labels[start:stop], workspace)
-        wrong += int((result.predictions != labels[start:stop]).sum())
+        predictions = forward(params, features[start:stop], None, workspace).predictions
+        wrong += int((predictions != labels[start:stop]).sum())
     return wrong / n
 
 

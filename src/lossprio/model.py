@@ -16,6 +16,8 @@ import numpy as np
 
 from .errors import ConfigurationError, TrainingDivergedError
 
+SGD_BLOCK = 32768  # parameters per block of sgd_step's update, so its passes stay in cache
+
 
 @dataclass
 class TrainerConfig:
@@ -112,7 +114,7 @@ def init_params(architecture, rng) -> ModelParams:
 class Workspace:
     """Arrays that forward, sgd_step and evaluate_error write into: a batch
     gathered from a split, each layer's activations, the back-propagated
-    deltas, the flat gradient and the weight-decay term.
+    deltas, the flat gradient and one block of the weight-decay term.
 
     Calls take the first n rows of each buffer, so one workspace serves any
     batch of at most ``rows`` examples; a call given none makes its own, sized
@@ -128,7 +130,7 @@ class Workspace:
         self.acts = [np.empty((rows, width)) for width in arch[1:]]
         self.deltas = [np.empty((rows, width)) for width in arch[1:-1]]
         self.grad = ModelParams.on_vector(np.empty_like(params.vector), arch)
-        self.decay = np.empty_like(params.vector)
+        self.decay = np.empty(min(params.vector.size, SGD_BLOCK))
 
     def gather(self, features, labels, rows) -> tuple[np.ndarray, np.ndarray]:
         """features[rows] and labels[rows], written into the workspace."""
@@ -141,10 +143,11 @@ class Workspace:
 
 @dataclass
 class ForwardResult:
-    """Batch outputs: per-example loss, class distribution, and argmax class."""
+    """Batch outputs: per-example loss, class distribution, and argmax class;
+    a forward without labels leaves the first two None."""
 
-    losses: np.ndarray
-    probabilities: np.ndarray
+    losses: np.ndarray | None
+    probabilities: np.ndarray | None
     predictions: np.ndarray
 
 
@@ -167,17 +170,22 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def forward(params: ModelParams, features: np.ndarray, labels: np.ndarray,
+def forward(params: ModelParams, features: np.ndarray, labels: np.ndarray | None,
             workspace: Workspace | None = None) -> ForwardResult:
     """Score a batch without touching any state but the workspace's.
 
     The batch is rows of a Dataset that matches the model: float64 features
     as wide as its input and int64 labels below its class count.  Dataset and
     run_training own those rules, so they are not checked again here.
+    Without labels only the predictions are computed, and the logits' row
+    maxima subtracted: the one log-softmax step that can overflow.
     """
     workspace = workspace or Workspace(params, len(features))
     logits = _activations(params, features, workspace)[-1]
     predictions = logits.argmax(axis=1)
+    if labels is None:
+        logits -= logits.max(axis=1, keepdims=True)
+        return ForwardResult(None, None, predictions)
     logp = _log_softmax(logits)
     losses = -logp[np.arange(len(labels)), labels]
     return ForwardResult(losses, np.exp(logp, out=logp), predictions)
@@ -230,19 +238,22 @@ def sgd_step(params: ModelParams, features, labels, cfg: TrainerConfig, state: S
     """One momentum SGD update on a batch, in place.  Returns the batch loss.
 
     Update order: weight decay is added to the gradient, the result is folded
-    into the momentum buffer, then the step is applied at the given rate.
-    Nothing changes when the loss or the gradient is not finite.
+    into the momentum buffer, then the step is applied at the given rate, one
+    block of SGD_BLOCK parameters at a time.  Nothing changes when the loss or
+    the gradient is not finite.
     """
     workspace = workspace or Workspace(params, len(features))
     loss, grad = _backward(params, features, labels, workspace)
-    step = grad.vector
-    if not (math.isfinite(loss) and np.isfinite(step).all()):
+    if not (math.isfinite(loss) and np.isfinite(grad.vector).all()):
         raise TrainingDivergedError("non-finite loss or gradient", iteration=state.updates)
-    step += np.multiply(params.vector, cfg.weight_decay, out=workspace.decay)
-    state.velocity *= cfg.momentum
-    state.velocity += step
-    np.multiply(state.velocity, lr, out=step)
-    params.vector -= step
+    for lo in range(0, grad.vector.size, SGD_BLOCK):
+        step, velocity, vector = (a[lo : lo + SGD_BLOCK]
+                                  for a in (grad.vector, state.velocity, params.vector))
+        step += np.multiply(vector, cfg.weight_decay, out=workspace.decay[: step.size])
+        velocity *= cfg.momentum
+        velocity += step
+        np.multiply(velocity, lr, out=step)
+        vector -= step
     state.updates += 1
     state.backprops += len(features)
     return loss

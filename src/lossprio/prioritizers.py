@@ -83,7 +83,8 @@ class ScoreHistogram:
         self._buf = np.empty(capacity, dtype=np.float64)
         self._size = 0
         self._next = 0
-        self._tri = np.tri(0, dtype=bool)  # lower-triangular mask, grown by insert_many
+        # grown by insert_many: a lower-triangular mask, and _prefix_counts' comparisons
+        self._tri, self._below = np.tri(0, dtype=bool), np.empty(0, dtype=bool)
 
     def __len__(self) -> int:
         return self._size
@@ -105,7 +106,7 @@ class ScoreHistogram:
     def _insert_chunk(self, scores: np.ndarray) -> np.ndarray:
         n, cap, size = len(scores), self.capacity, self._size
         if len(self._tri) < n:
-            self._tri = np.tri(n, dtype=bool)
+            self._tri, self._below = np.tri(n, dtype=bool), np.empty(n * n, dtype=bool)
         # the count at or below each score: the old window, less the old
         # entries evicted by then, plus the chunk up to and including it
         count = np.sort(self._buf[:size]).searchsorted(scores, side="right")
@@ -125,7 +126,11 @@ class ScoreHistogram:
     def _prefix_counts(self, values: np.ndarray, probes: np.ndarray) -> np.ndarray:
         """For each j, how many of values[: j + 1] are <= probes[j]."""
         m = len(probes)
-        return np.count_nonzero((values <= probes[:, None]) & self._tri[:m, :m], axis=1)
+        # contiguous, however far an earlier chunk grew the buffer
+        below = np.less_equal(values, probes[:, None], out=self._below[: m * m].reshape(m, m))
+        below &= self._tri[:m, :m]
+        # a byte sum, accumulated in int64: a count reaches the chunk length
+        return below.view(np.uint8).sum(axis=1, dtype=np.int64)
 
 
 def expected_selection_fraction(beta: float) -> float:
@@ -274,8 +279,9 @@ class SelectiveBackpropPrioritizer(Prioritizer):
         warm = max(self.batch_size - 1 - len(self.histogram), 0)
         cdf = self.histogram.insert_many(scores)
         # Python's float power, as the per-example reference uses: numpy's
-        # can differ from it in the last bit
-        p = np.array([c**self.beta for c in cdf.tolist()])
+        # can differ from it in the last bit.  At beta 1 it is the identity,
+        # c ** 1.0 == c, so the cdf is the probability as it stands
+        p = cdf if self.beta == 1.0 else np.array([c**self.beta for c in cdf.tolist()])
         admitted = np.ones(len(scores), dtype=bool)
         ranked = np.flatnonzero(p[warm:] < 1.0) + warm
         admitted[ranked] = self.rng.random(len(ranked)) < p[ranked]

@@ -181,6 +181,16 @@ class CandidateBuffer:
         return list(self._queue)
 
 
+def whole_vector_update(vector, velocity, grad, cfg, lr: float) -> None:
+    """sgd_step's update as five passes over whole vectors, in place: weight
+    decay into the gradient, momentum, then the step.  The blocked update
+    reproduces it byte for byte."""
+    grad += np.multiply(vector, cfg.weight_decay)
+    velocity *= cfg.momentum
+    velocity += grad
+    vector -= np.multiply(velocity, lr)
+
+
 def load_checkpoint(path) -> ModelParams:
     """The parameters model.save_checkpoint wrote to path."""
     with np.load(path) as data:

@@ -31,7 +31,7 @@ from lossprio.harness import (
     save_run,
     write_metrics_csv,
 )
-from lossprio.model import TrainerConfig, init_params
+from lossprio.model import TrainerConfig, Workspace, forward, init_params
 from lossprio.prioritizers import PrioritizerConfig
 
 
@@ -255,6 +255,63 @@ class TestEvaluateError:
         params = init_params([4, 3], 0)
         with pytest.raises(ConfigurationError):
             evaluate_error(params, np.empty((0, 4)), np.empty(0, dtype=int))
+
+    def test_matches_the_full_forwards_predictions(self):
+        # two chunks, the second of 7 rows, against one labelled forward
+        rng = np.random.default_rng(12)
+        n = harness.EVAL_CHUNK + 7
+        params = init_params([8, 16, 5], 2)
+        feats, labels = rng.normal(size=(n, 8)), rng.integers(5, size=n)
+        wrong = forward(params, feats, labels).predictions != labels
+        assert evaluate_error(params, feats, labels) == wrong.sum() / n
+        # all-equal logits: the argmax takes class 0
+        params.weights[-1][:] = 0.0
+        params.biases[-1][:] = 0.0
+        assert evaluate_error(params, feats, labels) == np.count_nonzero(labels) / n
+
+
+# (layer, "w" or "b", value) entries set, one per flat index from 0, and
+# whether _error_or_none returns None; these are the outcomes of the full
+# log-softmax evaluation this one replaced.  One entry of +-1e308 in the last
+# layer's weights does not overflow: the tanh before it is bounded by 1.
+OVERFLOW_CASES = {
+    "w0 +inf, a zero feature": (((0, "w", np.inf),), True),
+    "w0 -inf, a zero feature": (((0, "w", -np.inf),), True),
+    "w0 +inf": (((0, "w", np.inf),), False),
+    "w0 -1e308": (((0, "w", -1e308),), True),
+    "w1 +inf": (((1, "w", np.inf),), True),
+    "w1 -inf": (((1, "w", -np.inf),), True),
+    "w1 +1e308": (((1, "w", 1e308),), False),
+    "w1 -1e308": (((1, "w", -1e308),), False),
+    "b1 +inf": (((1, "b", np.inf),), True),
+    "b1 -inf": (((1, "b", -np.inf),), False),
+    "w0 nan": (((0, "w", np.nan),), False),
+    "b0 nan": (((0, "b", np.nan),), False),
+    "w1 nan": (((1, "w", np.nan),), False),
+    "b1 nan": (((1, "b", np.nan),), False),
+    "row range past the largest float": (((1, "b", 1e308), (1, "b", -1e308)), True),
+}
+
+
+@pytest.mark.parametrize("name", list(OVERFLOW_CASES))
+def test_evaluation_overflows_where_the_full_forward_does(name):
+    entries, overflows = OVERFLOW_CASES[name]
+    rng = np.random.default_rng(4)
+    # features of magnitude 1 to 2, so 1e308 in the first layer overflows
+    feats = rng.uniform(1.0, 2.0, size=(40, 8)) * rng.choice([-1.0, 1.0], size=(40, 8))
+    labels = rng.integers(4, size=40)
+    if "zero feature" in name:
+        feats[3, 0] = 0.0  # inf * 0 is invalid
+    params = init_params([8, 6, 4], 5)
+    for index, (layer, kind, value) in enumerate(entries):
+        (params.weights if kind == "w" else params.biases)[layer].flat[index] = value
+    got = harness._error_or_none(params, feats, labels, Workspace(params, 40))
+    if overflows:
+        assert got is None
+    else:
+        with np.errstate(all="ignore"):
+            wrong = forward(params, feats, labels).predictions != labels
+        assert got == wrong.sum() / len(labels)
 
 
 class TestComputeSpeedup:

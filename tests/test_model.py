@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from reference import load_checkpoint
+from reference import load_checkpoint, whole_vector_update
 
+from lossprio import model
 from lossprio.errors import ConfigurationError, TrainingDivergedError
 from lossprio.model import (
     ModelParams,
@@ -215,6 +216,46 @@ class TestBackwardAndUpdate:
                 sgd_step(params, np.ones((2, 4)), np.array([0, 1]),
                          TrainerConfig(), state, lr=0.1)
         assert exc.value.iteration == 41
+
+
+class TestBlockedUpdate:
+    # (784, 256, 10) holds 203,530 parameters: six full blocks and a partial one
+    ARCH = [784, 256, 10]
+
+    def batch(self, rng):
+        return rng.standard_normal((16, 784)), rng.integers(10, size=16)
+
+    def test_steps_byte_equal_to_the_whole_vector_update(self):
+        rng = np.random.default_rng(21)
+        params = init_params(self.ARCH, rng)
+        assert params.vector.size > 6 * model.SGD_BLOCK
+        ref, velocity = params.copy(), np.zeros_like(params.vector)
+        cfg, state = TrainerConfig(), init_sgd_state(params)
+        for lr in (0.1, 0.1, 0.05, 0.02, 0.02):
+            X, y = self.batch(rng)
+            whole_vector_update(ref.vector, velocity, _backward(ref, X, y)[1].vector, cfg, lr)
+            sgd_step(params, X, y, cfg, state, lr)
+            assert params.vector.tobytes() == ref.vector.tobytes()
+            assert state.velocity.tobytes() == velocity.tobytes()
+
+    def test_non_finite_gradient_in_the_last_block_changes_nothing(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        params = init_params(self.ARCH, rng)
+        cfg, state = TrainerConfig(), init_sgd_state(params)
+        sgd_step(params, *self.batch(rng), cfg, state, 0.1)  # a nonzero velocity
+        before = params.vector.tobytes(), state.velocity.tobytes()
+        backward = model._backward
+
+        def last_entry_infinite(*args):
+            loss, grad = backward(*args)
+            grad.vector[-1] = np.inf
+            return loss, grad
+
+        monkeypatch.setattr(model, "_backward", last_entry_infinite)
+        with pytest.raises(TrainingDivergedError) as exc:
+            sgd_step(params, *self.batch(rng), cfg, state, 0.1)
+        assert exc.value.iteration == 1
+        assert (params.vector.tobytes(), state.velocity.tobytes()) == before
 
 
 class TestGradientCheck:

@@ -568,6 +568,31 @@ def test_insert_many_matches_the_reference(capacity, scores, cuts):
     assert histogram_window(hist) == histogram_window(ref)
 
 
+@pytest.mark.parametrize("capacity, before, n", [(1024, 0, 1024), (1024, 900, 700),
+                                                  (300, 300, 300)])
+def test_one_large_chunk_matches_the_reference(capacity, before, n):
+    # one chunk of 300 to 1024 scores, most of them tied: its rank counts,
+    # and those of the entries it evicts, run past what a byte holds
+    rng = np.random.default_rng(capacity + before + n)
+    scores = np.where(rng.random(before + n) < 0.8, rng.integers(4, size=before + n) / 2,
+                      rng.random(before + n) * 2)
+    ref, expected = ReferenceHistogram(capacity), []
+    for score in scores.tolist():
+        ref.insert(score)
+        expected.append(ref.cdf(score))
+    hist = ScoreHistogram(capacity)
+    hist.insert_many(scores[:before])
+    assert hist.insert_many(scores[before:]).tolist() == expected[before:]
+    assert histogram_window(hist) == histogram_window(ref)
+
+
+def test_python_power_is_the_identity_at_beta_one():
+    # the premise of the sb_* shortcut that admits with p = cdf at beta 1:
+    # every cdf a window of up to 1024 scores gives is k / n, and Python's
+    # power leaves each one as it is
+    assert all((k / n) ** 1.0 == k / n for n in range(1, 1025) for k in range(n + 1))
+
+
 def test_histogram_smaller_than_batch_rejected():
     # the window could never hold a batch: warm-up would admit every example
     with pytest.raises(ConfigurationError, match="histogram_capacity 64 smaller than batch_size 128"):

@@ -40,6 +40,25 @@ def test_full_probe_traces_every_kinds_feed():
     assert harness.make_prioritizer.__module__ == "lossprio.prioritizers"  # probe undone
 
 
+def test_full_probe_sees_the_evaluation_and_scoring_forwards():
+    # model.eval_forward_s and model.score_forward_calls read 0 unless both
+    # evaluation and scoring reach the forward through harness.forward
+    train, test = generate_synthetic_pair(96, 40, num_classes=4, feature_dim=8, seed=2)
+    cfg = TrainerConfig(batch_size=16, total_epochs=1, hidden_layers=(8,), seed=0)
+    with layers.Probe(full=True) as probe:
+        for kind in PRIORITIZER_KINDS:
+            harness.run_training(train, test, cfg, PrioritizerConfig(kind=kind, seed=1),
+                                 eval_every=32)
+    metrics = layers.layer_metrics(probe, passes=1, threads=1, peak_rss_mb=1.0,
+                                   raw_feature_mb=1.0, bytes_written=0.0,
+                                   trace_overhead_frac=0.0)
+    for kind in PRIORITIZER_KINDS:
+        assert metrics[f"model.eval_forward_s.{kind}"] > 0, kind
+    for kind in ("sb_loss", "sb_entropy", "vr"):
+        assert metrics[f"model.score_forward_calls.{kind}"] > 0, kind
+    assert harness.forward.__module__ == "lossprio.model"  # probe undone
+
+
 def test_full_probe_times_the_cli_file_writers(tmp_path):
     # cli.snapshot_write_s and harness.save_run_s read 0 unless the command
     # line reaches both writers through the names the probe patches
