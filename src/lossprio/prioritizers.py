@@ -138,18 +138,11 @@ def expected_selection_fraction(beta: float) -> float:
     return 1.0 / (beta + 1.0)
 
 
-# Over k losses totalling S0 (floored where subnormals would round), a running
-# sum search and rng.choice's cdf each stay within (6k + 2 * batch_size + 4) *
-# 2**-53 * S0 of the exact cdf, to first order, so a pick more than _TIE_MARGIN *
-# k * S0 (over 600 times that) inside both ends of its interval is rng.choice's.
-_TIE_MARGIN, _TIE_FLOOR = 2.0**-40, 2.0**-960
-
-
 def gate_statistic(losses: np.ndarray) -> float:
     """Squared L2 distance between the normalized losses and uniform, scaled
     by their count: 0.0 for flat or all-zero losses.  A loss sum that
-    overflows is taken over the losses scaled by a power of two, as the draw
-    takes it."""
+    overflows is taken over the losses scaled by a power of two, so a flat
+    pool reads 0.0 at any scale."""
     total = losses.sum()
     if total == np.inf:
         losses = losses * 2.0 ** -len(losses).bit_length()
@@ -164,40 +157,26 @@ def draw_from_pool(ids: np.ndarray, losses: np.ndarray, batch_size: int,
                    gate_threshold: float, rng: np.random.Generator) -> tuple[np.ndarray, bool]:
     """Draw batch_size distinct ids from a full pool, plus the gate decision.
 
-    Above the threshold, weighted picks are sequential, each the one
-    ``rng.choice(k, p=losses / losses.sum())`` makes from the same stream over
-    the losses left: a search of a running loss sum finds it, recomputed as
-    rng.choice does near a tie.  Once only zero losses are left, or with the
-    gate shut, picks are uniform over the positions left.  The prioritizer
-    checks the losses and that the pool holds a batch.
+    Above the threshold, the picks are one exponential race (Efraimidis &
+    Spirakis 2006): each position keys log(E) - log(loss) for its own
+    standard exponential E, and in ascending key order the positions have
+    exactly the distribution of successive draws, each proportional to the
+    losses left.  Logs rather than E / loss keep a subnormal loss finite,
+    apart from the zero losses, which key +inf.  Once only zero losses are
+    left, or with the gate shut, picks are uniform over the positions left.
+    The prioritizer checks the losses and that the pool holds a batch.
     """
     k = len(losses)
-    gate_on = gate_statistic(losses) > gate_threshold
-    keep, picks = np.ones(k, dtype=bool), []
-    if gate_on:
-        prefix = losses.cumsum()
-        margin = _TIE_MARGIN * k * max(float(prefix[-1]), _TIE_FLOOR)
-        # rng.choice refuses a sum that overflows; a power of two rescales it exactly
-        scale = 1.0 if prefix[-1] < np.inf else 2.0 ** -k.bit_length()
-        # each weighted pick takes one positive loss
-        for u in rng.random(min(batch_size, np.count_nonzero(losses))).tolist():
-            if picks:  # take the previous pick out of the running sum
-                prefix[j:] -= losses[j]
-            x = u * prefix[-1]
-            j = int(prefix.searchsorted(x, "right"))
-            if not (j < k and x - (prefix[j - 1] if j else 0.0) > margin
-                    and prefix[j] - x > margin):
-                live = np.flatnonzero(keep)
-                w = losses[live] * scale
-                cdf = (w / w.sum()).cumsum()
-                j = int(live[(cdf / cdf[-1]).searchsorted(u, "right")])
-            picks.append(j)
-            keep[j] = False
-    if len(picks) < batch_size:
-        rest = np.arange(k)[keep].tolist()  # positions left, in pool order
-        while len(picks) < batch_size:
-            picks.append(rest.pop(int(rng.integers(len(rest)))))
-    return ids[picks], gate_on
+    if not gate_statistic(losses) > gate_threshold:
+        return ids[rng.permutation(k)[:batch_size]], False
+    # log(0) is -inf; E == 0 against a zero loss keys nan, which sorts last too
+    with np.errstate(divide="ignore", invalid="ignore"):
+        keys = np.log(rng.standard_exponential(k)) - np.log(losses)
+    order = keys.argsort(kind="stable")
+    n = min(batch_size, np.count_nonzero(losses))  # one weighted pick per positive loss
+    if n < batch_size:
+        order[n:] = rng.permutation(order[n:])
+    return ids[order[:batch_size]], True
 
 
 class Prioritizer:

@@ -1,8 +1,9 @@
-"""Per-example references the batched run path is held to, value for value.
+"""Per-example references the batched run path is held to.
 
 The shipped code corrupts, ranks and queues whole arrays at a time; these are
 the one-example-at-a-time definitions it replaced.  Tests compare the two
-byte for byte, and check the references' own properties here.
+byte for byte, and check the references' own properties here.  The pool
+draw is held to a distribution instead: successive_sampling_probability.
 """
 
 from __future__ import annotations
@@ -120,28 +121,17 @@ def pool_entries(prio: prioritizers.PoolImportancePrioritizer) -> list[tuple[int
     return list(zip(prio._ids.tolist(), prio._losses.tolist()))
 
 
-def reference_pool_draw(entries, batch_size, threshold, rng):
-    """The per-pick definition ``draw_from_pool`` reproduces: one
-    ``rng.choice`` over the losses left per weighted pick.  It returns the
-    picked ids, the gate decision and the (id, loss) entries left.
-
-    rng.choice refuses a loss vector that is all zero or sums to infinity,
-    so the batch may not run past the positive losses of an open gate.
-    """
-    ids = [i for i, _ in entries]
-    losses = np.array([loss for _, loss in entries])
-    q = losses / losses.sum() if losses.sum() > 0 else None
-    gate_on = q is not None and len(q) * np.square(q - 1 / len(q)).sum() > threshold
-    remaining, picked = np.arange(len(ids)), []
-    for _ in range(batch_size):
-        if gate_on:
-            weights = losses[remaining]
-            j = rng.choice(len(remaining), p=weights / weights.sum())
-        else:
-            j = rng.integers(len(remaining))
-        picked.append(ids[remaining[j]])
-        remaining = np.delete(remaining, j)
-    return picked, gate_on, [entries[i] for i in remaining]
+def successive_sampling_probability(losses, picks) -> float:
+    """The exact probability of the ordered picks (positions into losses)
+    when each pick is drawn in proportion to the losses left, and uniformly
+    once only zero losses are left: the distribution ``draw_from_pool``
+    draws an open gate's batch from."""
+    left, p = list(range(len(losses))), 1.0
+    for j in picks:
+        total = math.fsum(losses[i] for i in left)
+        p *= losses[j] / total if total > 0 else 1 / len(left)
+        left.remove(j)
+    return p
 
 
 def selection_probability(score: float, histogram: ReferenceHistogram, beta: float) -> float:

@@ -1,6 +1,7 @@
 """Histogram, buffer, pool draw, and the four selection strategies."""
 
-import math
+import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from reference import (
     ReferenceHistogram,
     histogram_window,
     pool_entries,
-    reference_pool_draw,
     selection_probability,
+    successive_sampling_probability,
 )
 from scipy import stats
 
@@ -144,9 +145,8 @@ class TestPoolDraw:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_gate_statistic_rescales_a_loss_sum_that_overflows(self):
-        # over the losses times 2 ** -len.bit_length(), as the draw takes them:
-        # a flat pool reads 0.0 at any scale, and one overflowing pair reads
-        # 5 * (2 * 0.3**2 + 3 * 0.2**2)
+        # over the losses times 2 ** -len.bit_length(): a flat pool reads 0.0
+        # at any scale, and one overflowing pair reads 5 * (2 * 0.3**2 + 3 * 0.2**2)
         assert gate_statistic(np.array([1e308, 1e308])) == 0.0
         spread = gate_statistic(np.array([1e308, 3.0, 1e308, 0.0, 2.0]))
         assert spread == pytest.approx(1.5, rel=1e-12)
@@ -170,6 +170,54 @@ class TestPoolDraw:
             hits += ids[0] == 7
         assert abs(hits / trials - 0.75) < 0.01
 
+    def test_ordered_picks_follow_successive_sampling(self):
+        # every ordered triple of the five positive losses; the zero loss is
+        # never picked
+        losses = np.array([4.0, 1.0, 2.0, 0.0, 0.5, 3.0])
+        triples = itertools.permutations(np.flatnonzero(losses).tolist(), 3)
+        assert_successive_sampling(losses, 3, triples, 200_000, seed=8)
+
+    def test_shut_gate_draws_ordered_pairs_uniformly(self):
+        # the losses of the successive-sampling test, under a threshold they
+        # never clear
+        losses = np.array([4.0, 1.0, 2.0, 0.0, 0.5, 3.0])
+        rng, counts = np.random.default_rng(9), Counter()
+        for _ in range(60_000):
+            ids, gate_on = draw_from_pool(np.arange(6), losses, 2, 1e9, rng)
+            assert not gate_on
+            counts[tuple(ids.tolist())] += 1
+        pairs = list(itertools.permutations(range(6), 2))
+        assert set(counts) == set(pairs)
+        assert stats.chisquare([counts[p] for p in pairs]).pvalue > 0.001
+
+    def test_zero_losses_come_after_every_positive_loss(self):
+        # a batch past the positive losses fills up uniformly from the zeros
+        batches = [head + tail for head in itertools.permutations((1, 3))
+                   for tail in itertools.permutations((0, 2, 4, 5), 2)]
+        assert_successive_sampling(np.array([0.0, 2.0, 0.0, 1.0, 0.0, 0.0]), 4, batches,
+                                   12_000, seed=0)
+
+    @pytest.mark.parametrize("scale", [1e-310, 1e300])
+    def test_extreme_scales_draw_distinct_ids(self, scale):
+        # a subnormal loss keys a finite log, not an overflowed quotient that
+        # would tie with the zero loss; nothing on the way over- or underflows
+        losses = scale * np.array([1.0, 3.0, 0.0, 2.0])
+        rng = np.random.default_rng(10)
+        with np.errstate(all="raise"):
+            for _ in range(200):
+                ids, gate_on = draw_from_pool(np.arange(4), losses, 4, 0.0, rng)
+                assert gate_on and sorted(ids.tolist()) == [0, 1, 2, 3] and ids[-1] == 2
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_loss_sum_that_overflows_draws_by_loss(self):
+        # the two huge losses win the race over the finite ones, and the zero
+        # comes last
+        losses, rng = np.array([1e308, 3.0, 1e308, 0.0, 2.0]), np.random.default_rng(11)
+        for _ in range(200):
+            ids, gate_on = draw_from_pool(np.arange(20, 25), losses, 5, 0.0, rng)
+            assert gate_on and set(ids[:2].tolist()) == {20, 22}
+            assert set(ids[2:4].tolist()) == {21, 24} and ids[4] == 23
+
     def test_all_zero_losses_fall_back_to_uniform(self):
         rng = np.random.default_rng(5)
         ids, gate_on = draw_from_pool(np.arange(3), np.zeros(3), 2, 0.0, rng)
@@ -187,6 +235,22 @@ class TestPoolDraw:
         with pytest.raises(ConfigurationError, match="finite and nonnegative"):
             prio.feed(np.arange(2), np.array([1.0, -1.0]))
         assert pool_entries(prio) == []
+
+
+def assert_successive_sampling(losses, batch_size, batches, draws, seed):
+    """draw_from_pool's ordered batches from an open gate, each one of the
+    possible batches, chi-squared against successive_sampling_probability."""
+    rng, counts = np.random.default_rng(seed), Counter()
+    for _ in range(draws):
+        ids, gate_on = draw_from_pool(np.arange(len(losses)), losses, batch_size, 0.0, rng)
+        assert gate_on
+        counts[tuple(ids.tolist())] += 1
+    batches = list(batches)
+    assert set(counts) <= set(batches)
+    observed = np.array([counts[b] for b in batches])
+    expected = draws * np.array([successive_sampling_probability(losses, b) for b in batches])
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    assert chi2 < stats.chi2.ppf(0.999, len(batches) - 1)
 
 
 def feed_stream(prio, scores, batch=None, start_id=0):
@@ -431,96 +495,6 @@ class TestBatchedSelectionMatchesPerExample:
         assert got == expected
         assert histogram_window(prio.histogram) == window
         assert prio.rng.bit_generator.state == ref_rng.bit_generator.state
-
-    def test_pool_draw(self):
-        data = np.random.default_rng(21)
-        gates = set()
-        for trial in range(150):
-            size = int(data.integers(1, 400))
-            losses = data.exponential(size=size) * (data.random(size) > 0.3)
-            positive = int((losses > 0).sum())
-            batch_size = int(data.integers(1, max(positive, 1) + 1))
-            threshold = (0.0, 0.3, 1e9)[trial % 3]
-            entries = list(zip(data.permutation(10 * size)[:size].tolist(), losses.tolist()))
-            seed = int(data.integers(1 << 30))
-            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            ids, gate_on = draw_from_pool(*map(np.array, zip(*entries)), batch_size,
-                                          threshold, rng)
-            assert (ids.tolist(), gate_on) == reference_pool_draw(entries, batch_size,
-                                                                  threshold, ref_rng)[:2]
-            assert rng.bit_generator.state == ref_rng.bit_generator.state
-            gates.add(gate_on)
-        assert gates == {True, False}
-
-        # rng.choice cannot go on once only zero losses are left; the draw
-        # takes every positive loss first and then picks uniformly
-        ids, gate_on = draw_from_pool(np.arange(6), np.array([0.0, 2.0, 0.0, 1.0, 0.0, 0.0]),
-                                      4, 0.0, np.random.default_rng(0))
-        assert gate_on and set(ids[:2].tolist()) == {1, 3} and len(set(ids.tolist())) == 4
-
-
-def expected_pool_draw(entries, batch_size, threshold, rng):
-    """reference_pool_draw, continued past the last positive loss of an open
-    gate by a second call with the gate shut: picks there are uniform."""
-    n = min(batch_size, sum(loss > 0 for _, loss in entries))
-    picked, gate_on, rest = reference_pool_draw(entries, n, threshold, rng)
-    more, _, rest = reference_pool_draw(rest, batch_size - n, math.inf, rng)
-    return picked + more, gate_on, rest
-
-
-def assert_pool_draw_matches(entries, batch_size, threshold, seed, scale=1.0):
-    """draw_from_pool against expected_pool_draw over each loss times scale,
-    a power of two, from equal generators."""
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    ids, gate_on = draw_from_pool(*map(np.array, zip(*entries)), batch_size, threshold, rng)
-    picked, ref_gate_on, _ = expected_pool_draw([(i, loss * scale) for i, loss in entries],
-                                                batch_size, threshold, ref_rng)
-    assert (ids.tolist(), gate_on) == (picked, ref_gate_on)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
-
-
-@pytest.fixture
-def recomputed(monkeypatch):
-    """Counts the draw's exact recomputations: only they call flatnonzero."""
-    calls = []
-    flatnonzero = np.flatnonzero
-    monkeypatch.setattr(np, "flatnonzero", lambda a: calls.append(1) or flatnonzero(a))
-    return calls
-
-
-@settings(max_examples=200, deadline=None)
-@given(losses=st.integers(1, 400).flatmap(lambda n: st.lists(
-           st.sampled_from([0.0, 1.0, 2.5]) | st.floats(1e-12, 1e12), min_size=n, max_size=n)),
-       threshold=st.sampled_from([0.0, 0.3, 1e9]), data=st.data())
-def test_pool_draw_matches_the_reference(losses, threshold, data):
-    # zeros, exact ties and 24 decades of spread; the batch may run past the
-    # positive losses
-    batch_size = data.draw(st.integers(1, len(losses)), label="batch_size")
-    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
-    ids = np.random.default_rng(seed).permutation(10 * len(losses))[: len(losses)].tolist()
-    assert_pool_draw_matches(list(zip(ids, losses)), batch_size, threshold, seed)
-
-
-@pytest.mark.parametrize("ulps", [-1, 0, 1])
-@pytest.mark.parametrize("seed", range(8))
-def test_pool_draw_recomputes_a_pick_near_a_tie(recomputed, seed, ulps):
-    # the first loss ends within an ulp of u * total for the first uniform
-    # u the draw takes, so no search of a running sum can be trusted with it
-    u = np.random.default_rng(seed).random()
-    head = u + ulps * np.spacing(u)
-    assert_pool_draw_matches([(10, head), (11, 1.0 - head), (12, 0.0)], 3, 0.0, seed)
-    assert recomputed
-
-
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_pool_draw_rescales_a_loss_sum_that_overflows(recomputed):
-    # rng.choice refuses such a sum; the draw is the reference's over the
-    # losses times 2 ** -3 (a pool of 5), every weighted pick recomputed
-    entries = list(zip(range(20, 25), [1e308, 3.0, 1e308, 0.0, 2.0]))
-    for seed in range(5):
-        recomputed.clear()
-        assert_pool_draw_matches(entries, 5, 0.0, seed, scale=2.0**-3)
-        assert len(recomputed) == 4
 
 
 @settings(max_examples=100, deadline=None)
