@@ -177,6 +177,56 @@ class TestPoolDraw:
         triples = itertools.permutations(np.flatnonzero(losses).tolist(), 3)
         assert_successive_sampling(losses, 3, triples, 200_000, seed=8)
 
+    @pytest.mark.parametrize("losses, batch_size", [
+        ([1.0, 1.0, 3.0, 3.0], 2),  # exact ties
+        ([1.0, 2.0, 3.0], 3),  # every permutation of the pool
+        ([0.25, 0.5, 1.0, 2.0, 4.0], 2),  # powers of two
+        ([10.0, 1.0, 1.0, 0.0], 3),  # one dominant loss; the zero never drawn
+        ([0.0, 5.0, 0.0, 1.0], 4),  # the batch runs past the positive losses
+    ], ids=["ties", "permutations", "decades", "dominant", "past_positives"])
+    def test_ordered_batches_follow_successive_sampling(self, losses, batch_size):
+        losses = np.array(losses)
+        batches = [b for b in itertools.permutations(range(len(losses)), batch_size)
+                   if successive_sampling_probability(losses, b) > 0]
+        assert_successive_sampling(losses, batch_size, batches, 20_000, seed=12)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 1e9])
+    @pytest.mark.parametrize("size, batch_size", [(1, 1), (6, 6), (50, 10), (400, 128),
+                                                  (400, 350)])
+    def test_draw_is_a_batch_of_distinct_fed_ids(self, size, batch_size, threshold):
+        # pools with zeros, exact ties and 24 decades of spread; the gate
+        # decision is the statistic's, and an open gate draws every positive
+        # loss it can before any zero
+        data = np.random.default_rng(size * 1000 + batch_size)
+        for _ in range(40):
+            decades = 10.0 ** data.uniform(-12, 12, size)
+            spread = np.choose(data.integers(3, size=size),
+                               [np.ones(size), np.full(size, 2.5), decades])
+            losses = np.where(data.random(size) < 0.3, 0.0, spread)
+            ids = data.permutation(10 * size)[:size]
+            picked, gate_on = draw_from_pool(ids, losses, batch_size, threshold,
+                                             np.random.default_rng(data.integers(1 << 30)))
+            assert gate_on == (gate_statistic(losses) > threshold)
+            assert len(picked) == batch_size == len(set(picked.tolist()))
+            assert set(picked.tolist()) <= set(ids.tolist())
+            if gate_on:
+                loss_of = dict(zip(ids.tolist(), losses.tolist()))
+                picked_losses = np.array([loss_of[i] for i in picked.tolist()])
+                n = min(batch_size, np.count_nonzero(losses))
+                assert (picked_losses[:n] > 0).all() and (picked_losses[n:] == 0).all()
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.3, 1e9])
+    def test_same_seed_draws_the_same_batch(self, threshold):
+        # the draw depends on its losses and its generator alone, and leaves
+        # equal generators in equal states
+        data = np.random.default_rng(13)
+        losses = data.exponential(size=300) * (data.random(300) > 0.3)
+        rngs = np.random.default_rng(14), np.random.default_rng(14)
+        first, second = (draw_from_pool(np.arange(300), losses.copy(), 64, threshold, rng)
+                         for rng in rngs)
+        assert first[0].tolist() == second[0].tolist() and first[1] == second[1]
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
     def test_shut_gate_draws_ordered_pairs_uniformly(self):
         # the losses of the successive-sampling test, under a threshold they
         # never clear
