@@ -1,9 +1,10 @@
 """Training loop, speedup measurement, and the writers of every output file.
 
-A run walks the shuffled train split in candidate batches, forward-scores
-each batch (unless the prioritizer ignores scores), lets the prioritizer
-decide what actually gets an update, and evaluates clean test error on a
-fixed back-propagation budget cadence.
+A run walks the shuffled train split in candidate batches, scores each
+batch with one forward (unless the prioritizer is uniform), feeds the
+prioritizer the one score its kind ranks, lets it decide what actually gets
+an update, and evaluates clean test error on a fixed back-propagation
+budget cadence.
 Budgets are counted in examples back-propagated, which is the comparison
 axis for every speedup number.
 """
@@ -29,6 +30,7 @@ from .model import (
     init_params,
     init_sgd_state,
     learning_rate_at,
+    prediction_entropy,
     save_checkpoint,
     sgd_step,
 )
@@ -232,19 +234,21 @@ def run_training(
                 order = rng.permutation(len(train))
                 for k in range(batches_per_epoch):
                     rows = order[k * batch : (k + 1) * batch]
-                    losses = probabilities = None
+                    scores = None
                     # without a scoring forward, sgd_step's finite check still
                     # stops a divergent run at this update
-                    if prio.needs_scores:
+                    if prio_cfg.kind != "uniform":
                         scored = forward(params, *workspace.gather(feats, labels, rows),
                                          workspace)
                         if not np.isfinite(scored.losses).all():
                             raise TrainingDivergedError(
                                 "non-finite loss while scoring", iteration=state.updates
                             )
-                        losses, probabilities = scored.losses, scored.probabilities
+                        # the one place a kind's score is chosen
+                        scores = (prediction_entropy(scored.probabilities)
+                                  if prio_cfg.kind == "sb_entropy" else scored.losses)
                     # an example's id is its row
-                    for chosen, gate_on in prio.feed(rows, losses, probabilities):
+                    for chosen, gate_on in prio.feed(rows, scores):
                         sgd_step(params, *workspace.gather(feats, labels, chosen),
                                  trainer_cfg, state, lr, workspace)
                         record.append((chosen, gate_on))

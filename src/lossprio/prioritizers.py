@@ -1,21 +1,21 @@
 """Batch selection strategies that decide which examples earn an update.
 
-All strategies share one contract: ``feed(rows, losses, probabilities)``
-takes a candidate mini-batch (int64 row ids, each row's loss and prediction
-distribution) and returns zero or more ``(rows, gate_on)`` pairs: a training
+All strategies share one contract: ``feed(rows, scores)`` takes a candidate
+mini-batch (int64 row ids and one difficulty score per row, or None for
+``uniform``) and returns zero or more ``(rows, gate_on)`` pairs: a training
 batch of exactly batch_size fed ids as an int64 array, and the ``vr`` gate
-decision behind it (None for the kinds without a gate).  Strategies own a
-seeded generator, so a run is reproducible from its config alone.
+decision behind it (None for the kinds without a gate).  Which score a kind
+ranks is the run's choice (harness.run_training); a strategy only ranks it.
+Strategies own a seeded generator, so a run is reproducible from its config
+alone.
 
 Four kinds exist:
 
 * ``uniform`` passes candidate batches straight through (plain SGD).
-* ``sb_loss`` keeps a sliding window of recent losses and admits each
-  example with probability cdf(loss) ** beta, so hard examples are kept
-  and easy ones are mostly skipped.  Admitted ids queue up until a full
-  batch exists.
-* ``sb_entropy`` is the same machinery scored by the entropy of the
-  prediction distribution instead of the loss.
+* ``sb_loss`` and ``sb_entropy`` keep a sliding window of recent scores
+  (losses, or prediction entropies) and admit each example with probability
+  cdf(score) ** beta, so hard examples are kept and easy ones are mostly
+  skipped.  Admitted ids queue up until a full batch exists.
 * ``vr`` accumulates candidates in a pool; once full it draws a batch
   without replacement, proportional to loss when the losses are spread
   out enough (a squared-distance-to-uniform gate), uniformly otherwise.
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import prediction_entropy
 
 PRIORITIZER_KINDS = ("uniform", "sb_loss", "sb_entropy", "vr")
 
@@ -184,8 +183,6 @@ class Prioritizer:
 
     Built from its config alone, by make_prioritizer."""
 
-    needs_scores = True  # False: feed ignores losses and distributions
-
     def __init__(self, cfg: PrioritizerConfig, batch_size: int):
         if batch_size < 1:
             raise ConfigurationError("batch_size must be positive")
@@ -195,26 +192,23 @@ class Prioritizer:
         self.ingested = 0
         self.selected = 0
 
-    def feed(self, rows: np.ndarray, losses=None,
-             probabilities=None) -> list[tuple[np.ndarray, bool | None]]:
+    def feed(self, rows: np.ndarray, scores) -> list[tuple[np.ndarray, bool | None]]:
         raise NotImplementedError
 
     @staticmethod
-    def _check_scores(scores) -> np.ndarray:
+    def _check_scores(rows, scores) -> np.ndarray:
         scores = np.asarray(scores, dtype=np.float64)
-        if scores.ndim != 1:
-            raise ConfigurationError("scores must be a 1-d batch")
+        if scores.ndim != 1 or len(scores) != len(rows):
+            raise ConfigurationError("scores must be a 1-d batch, one per row")
         if not np.isfinite(scores).all() or (scores < 0).any():
             raise ConfigurationError("scores must be finite and nonnegative")
         return scores
 
 
 class UniformPrioritizer(Prioritizer):
-    """Plain SGD: every candidate batch passes through untouched."""
+    """Plain SGD: every candidate batch passes through untouched, unscored."""
 
-    needs_scores = False
-
-    def feed(self, rows, losses=None, probabilities=None):
+    def feed(self, rows, scores):
         self.ingested += len(rows)
         self.selected += len(rows)
         return [(rows, None)]
@@ -223,12 +217,13 @@ class UniformPrioritizer(Prioritizer):
 class SelectiveBackpropPrioritizer(Prioritizer):
     """Admit each example with probability cdf(score) ** beta.
 
-    Scores are losses (``sb_loss``) or prediction entropies (``sb_entropy``).
-    Each score is inserted into the window before its own probability is
-    computed, and until the window holds one full batch of scores every
-    example is admitted unconditionally (warm-up).  A feed is decided as one
-    batch: the same admissions, from the same random stream, as deciding
-    one example at a time (the reference in tests/reference.py).
+    One rule for both kinds; the run feeds ``sb_loss`` losses and
+    ``sb_entropy`` prediction entropies.  Each score is inserted into the
+    window before its own probability is computed, and until the window
+    holds one full batch of scores every example is admitted
+    unconditionally (warm-up).  A feed is decided as one batch: the same
+    admissions, from the same random stream, as deciding one example at a
+    time (the reference in tests/reference.py).
     """
 
     def __init__(self, cfg: PrioritizerConfig, batch_size: int):
@@ -242,18 +237,8 @@ class SelectiveBackpropPrioritizer(Prioritizer):
         self.histogram = ScoreHistogram(cfg.histogram_capacity)
         self._queue = np.empty(0, dtype=np.int64)  # admitted ids not yet in a batch
 
-    def feed(self, rows, losses=None, probabilities=None):
-        if self.kind == "sb_loss":
-            if losses is None:
-                raise ConfigurationError("sb_loss needs per-example losses")
-            scores = self._check_scores(losses)
-        else:
-            if probabilities is None:
-                raise ConfigurationError("sb_entropy needs prediction distributions")
-            scores = self._check_scores(prediction_entropy(np.atleast_2d(probabilities)))
-        if len(scores) != len(rows):
-            raise ConfigurationError("rows and scores must have equal length")
-
+    def feed(self, rows, scores):
+        scores = self._check_scores(rows, scores)
         # warm-up: the leading scores that leave the window below one batch
         warm = max(self.batch_size - 1 - len(self.histogram), 0)
         cdf = self.histogram.insert_many(scores)
@@ -295,12 +280,8 @@ class PoolImportancePrioritizer(Prioritizer):
         self._ids = np.empty(0, dtype=np.int64)
         self._losses = np.empty(0, dtype=np.float64)
 
-    def feed(self, rows, losses=None, probabilities=None):
-        if losses is None:
-            raise ConfigurationError("vr needs per-example losses")
-        losses = self._check_scores(losses)
-        if len(losses) != len(rows):
-            raise ConfigurationError("rows and losses must have equal length")
+    def feed(self, rows, scores):
+        losses = self._check_scores(rows, scores)
         ids = np.concatenate((self._ids, rows))
         pooled = np.concatenate((self._losses, losses))
         cap = self.capacity

@@ -1,5 +1,6 @@
 """Training loop accounting, speedup math, aggregation, and run files."""
 
+import ast
 import csv
 import hashlib
 import itertools
@@ -7,6 +8,7 @@ import json
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,8 +32,8 @@ from lossprio.harness import (
     save_run,
     write_metrics_csv,
 )
-from lossprio.model import TrainerConfig, Workspace, forward, init_params
-from lossprio.prioritizers import PrioritizerConfig
+from lossprio.model import TrainerConfig, Workspace, forward, init_params, prediction_entropy
+from lossprio.prioritizers import PRIORITIZER_KINDS, PrioritizerConfig
 
 
 def tiny_pair(num_train=400, num_test=120, seed=3):
@@ -117,6 +119,44 @@ class TestRunTraining:
         assert set(metrics.gate_on_series) <= {0, 1}
         # pool capacity 3x batch: a third of the candidate stream trains
         assert metrics.num_iterations == (12 * 3) // 3
+
+    @pytest.mark.parametrize("kind", PRIORITIZER_KINDS)
+    def test_each_kind_is_fed_its_score(self, kind, monkeypatch):
+        # feed wrapped after make_prioritizer, as perfbench/layers.py wraps it
+        scored, fed = [], []
+
+        def recording_forward(params, features, labels, workspace=None):
+            out = forward(params, features, labels, workspace)
+            if labels is not None:  # a scoring forward; evaluations pass none
+                scored.append((out.losses.copy(), out.probabilities.copy()))
+            return out
+
+        make = harness.make_prioritizer
+
+        def recording_selector(cfg, batch_size):
+            prio = make(cfg, batch_size)
+            feed = prio.feed
+
+            def recording_feed(rows, scores):
+                fed.append(None if scores is None else np.array(scores))
+                return feed(rows, scores)
+
+            prio.feed = recording_feed
+            return prio
+
+        monkeypatch.setattr(harness, "forward", recording_forward)
+        monkeypatch.setattr(harness, "make_prioritizer", recording_selector)
+        train, test = tiny_pair()
+        run_training(train, test, tiny_trainer(), PrioritizerConfig(kind=kind, seed=1),
+                     eval_every=64)
+        assert len(fed) == 12 * 3
+        if kind == "uniform":
+            assert scored == [] and fed == [None] * len(fed)
+            return
+        assert len(scored) == len(fed)
+        for scores, (losses, probabilities) in zip(fed, scored):
+            expected = prediction_entropy(probabilities) if kind == "sb_entropy" else losses
+            assert np.array_equal(scores, expected)
 
     def test_identical_configs_identical_runs(self):
         train, test = tiny_pair()
@@ -685,3 +725,32 @@ def test_helper_holds_under_constant_thread_switches(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert eval_threads() == []
+
+
+def _names_entropy(source: str) -> list[int]:
+    """Lines of source that import, call or otherwise name prediction_entropy."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if getattr(node, "id", getattr(node, "attr", None)) == "prediction_entropy"
+                   or (isinstance(node, ast.ImportFrom)
+                       and any(a.name == "prediction_entropy" for a in node.names))})
+
+
+def test_only_the_harness_chooses_a_score():
+    # which score a kind ranks is decided in run_training alone; model defines
+    # prediction_entropy, and the selectors rank whatever they are fed
+    src = Path(harness.__file__).resolve().parent
+    found = {path.stem: _names_entropy(path.read_text())
+             for path in sorted(src.glob("*.py")) if path.stem != "harness"}
+    assert {module: lines for module, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize("source, caught", [
+    ("from .model import prediction_entropy", True),
+    ("from .model import forward, prediction_entropy as entropy", True),
+    ("from . import model\nx = model.prediction_entropy(p)", True),
+    ("x = prediction_entropy(p)", True),
+    ("def prediction_entropy(p):\n    return p", False),
+    ("x = 'prediction_entropy'", False),
+])
+def test_the_score_check_catches_each_way_of_naming(source, caught):
+    assert bool(_names_entropy(source)) == caught

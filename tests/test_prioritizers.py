@@ -367,18 +367,14 @@ class TestSelectiveBackprop:
         with pytest.raises(ConfigurationError):
             sb.feed(np.array([0]), np.array([np.nan]))
 
-    def test_entropy_variant_ranks_by_entropy(self):
-        # the window must hold entropies of the distributions, not losses
-        sb = selector(2, kind="sb_entropy", seed=7, beta=1.0)
-        probs = np.array([[1.0, 0.0], [0.5, 0.5]])
-        sb.feed(np.array([0, 1]), losses=np.array([9.0, 9.0]), probabilities=probs)
-        window = histogram_window(sb.histogram)
-        np.testing.assert_allclose(window, [0.0, np.log(2)], atol=1e-12)
-
-    def test_entropy_variant_requires_distributions(self):
-        sb = selector(2, kind="sb_entropy", seed=8, beta=1.0)
-        with pytest.raises(ConfigurationError):
-            sb.feed(np.array([0, 1]), losses=np.array([1.0, 2.0]))
+    @pytest.mark.parametrize("kind", ["sb_loss", "sb_entropy", "vr"])
+    @pytest.mark.parametrize("scores", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]]],
+                             ids=["short", "long", "2-d"])
+    def test_scores_must_be_one_per_row(self, kind, scores):
+        prio = selector(2, kind=kind, seed=7)
+        with pytest.raises(ConfigurationError, match="one per row"):
+            prio.feed(np.array([0, 1]), np.array(scores))
+        assert prio.ingested == 0
 
 
 class TestPoolImportancePrioritizer:
@@ -418,7 +414,7 @@ class TestMakePrioritizer:
     def test_uniform_passthrough(self):
         prio = make_prioritizer(PrioritizerConfig(kind="uniform", seed=1), batch_size=4)
         assert [(rows.tolist(), gate_on) for rows, gate_on
-                in prio.feed(np.array([3, 1, 4, 1]), np.zeros(4))] == [([3, 1, 4, 1], None)]
+                in prio.feed(np.array([3, 1, 4, 1]), None)] == [([3, 1, 4, 1], None)]
 
     def test_all_kinds_constructible(self):
         for kind in ("uniform", "sb_loss", "sb_entropy", "vr"):
@@ -467,8 +463,8 @@ class TestMakePrioritizer:
             rows = stream[lo : lo + size]
             lo += size
             fed.update(rows.tolist())
-            probs = data.dirichlet(np.ones(5), size=size)
-            for batch, gate_on in prio.feed(rows, data.random(size) + 0.01, probs):
+            scores = None if kind == "uniform" else data.random(size) + 0.01
+            for batch, gate_on in prio.feed(rows, scores):
                 assert isinstance(batch, np.ndarray) and batch.dtype == np.int64
                 assert batch.shape == (batch_size,)
                 assert len(set(batch.tolist())) == batch_size
