@@ -207,9 +207,6 @@ def _check_selector(prio: PrioritizerConfig, batch_size: int, context: str) -> N
         make_prioritizer(replace(prio, seed=0), batch_size)
     except ConfigurationError as exc:
         raise ConfigurationError(f"{context}: {exc}") from None
-    except MemoryError:  # the sb_* window is the one array a selector sizes from its config
-        raise ConfigurationError(f"{context}: histogram_capacity {prio.histogram_capacity}: "
-                                 "too large to allocate") from None
 
 
 def _parse_json(path) -> dict:

@@ -252,6 +252,10 @@ def run_training(
                         sgd_step(params, *workspace.gather(feats, labels, chosen),
                                  trainer_cfg, state, lr, workspace)
                         record.append((chosen, gate_on))
+                        # weight decay can overflow after sgd_step's gradient check
+                        if not np.isfinite(params.vector).all():
+                            raise TrainingDivergedError("non-finite parameters after an update",
+                                                        iteration=state.updates)
                         if state.backprops >= next_eval:
                             evaluations.hand_off()
                             while next_eval <= state.backprops:

@@ -12,8 +12,9 @@ alone.
 Four kinds exist:
 
 * ``uniform`` passes candidate batches straight through (plain SGD).
-* ``sb_loss`` and ``sb_entropy`` keep a sliding window of recent scores
-  (losses, or prediction entropies) and admit each example with probability
+* ``sb_loss`` and ``sb_entropy`` keep a window of at most
+  ``histogram_capacity`` of the scores fed so far (losses, or prediction
+  entropies), allocating only those, and admit each example with probability
   cdf(score) ** beta, so hard examples are kept and easy ones are mostly
   skipped.  Admitted ids queue up until a full batch exists.
 * ``vr`` accumulates candidates in a pool; once full it draws a batch
@@ -70,7 +71,8 @@ class PrioritizerConfig:
 
 
 class ScoreHistogram:
-    """Sliding window over the last ``capacity`` raw scores.
+    """Sliding window over the last ``capacity`` raw scores, oldest first in
+    one array that holds at most ``capacity`` of the scores inserted so far.
 
     The cdf of a score is the fraction of window entries less than or equal
     to it (ties inclusive), computed against the exact window contents rather
@@ -79,14 +81,12 @@ class ScoreHistogram:
 
     def __init__(self, capacity: int):
         self.capacity = capacity
-        self._buf = np.empty(capacity, dtype=np.float64)
-        self._size = 0
-        self._next = 0
+        self._window = np.empty(0, dtype=np.float64)  # oldest first
         # grown by insert_many: a lower-triangular mask, and _prefix_counts' comparisons
         self._tri, self._below = np.tri(0, dtype=bool), np.empty(0, dtype=bool)
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._window)
 
     def insert_many(self, scores: np.ndarray) -> np.ndarray:
         """Insert scores in order and return the cdf of each one against the
@@ -103,24 +103,18 @@ class ScoreHistogram:
         return out
 
     def _insert_chunk(self, scores: np.ndarray) -> np.ndarray:
-        n, cap, size = len(scores), self.capacity, self._size
+        n, cap, size = len(scores), self.capacity, len(self._window)
         if len(self._tri) < n:
             self._tri, self._below = np.tri(n, dtype=bool), np.empty(n * n, dtype=bool)
         # the count at or below each score: the old window, less the old
         # entries evicted by then, plus the chunk up to and including it
-        count = np.sort(self._buf[:size]).searchsorted(scores, side="right")
+        count = np.sort(self._window).searchsorted(scores, side="right")
         free = cap - size
         if n > free:  # score free + r evicts the r + 1 oldest entries
-            oldest = (self._next - size) % cap
-            gone = self._buf[(oldest + np.arange(n - free)) % cap]
-            count[free:] -= self._prefix_counts(gone, scores[free:])
+            count[free:] -= self._prefix_counts(self._window[: n - free], scores[free:])
         count += self._prefix_counts(scores, scores)
-
-        self._buf[(self._next + np.arange(n)) % cap] = scores
-        self._next = (self._next + n) % cap
-        sizes = np.minimum(size + np.arange(1, n + 1), cap)
-        self._size = int(sizes[-1])
-        return count / sizes
+        self._window = np.concatenate((self._window, scores))[-cap:]
+        return count / np.minimum(size + np.arange(1, n + 1), cap)
 
     def _prefix_counts(self, values: np.ndarray, probes: np.ndarray) -> np.ndarray:
         """For each j, how many of values[: j + 1] are <= probes[j]."""

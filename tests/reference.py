@@ -95,25 +95,19 @@ class ReferenceHistogram(prioritizers.ScoreHistogram):
     """The shipped window, inserted into and ranked one score at a time."""
 
     def insert(self, score: float) -> None:
-        self._buf[self._next] = score
-        self._next = (self._next + 1) % self.capacity
-        if self._size < self.capacity:
-            self._size += 1
+        self._window = np.append(self._window, score)[-self.capacity :]
 
     def cdf(self, score: float) -> float:
         """One score against the current window: the per-example reference
         that ``insert_many`` reproduces."""
-        if self._size == 0:
+        if len(self._window) == 0:
             raise EmptyHistogramError("no scores recorded yet")
-        window = self._buf if self._size == self.capacity else self._buf[: self._size]
-        return np.count_nonzero(window <= score) / self._size
+        return np.count_nonzero(self._window <= score) / len(self._window)
 
 
 def histogram_window(histogram: prioritizers.ScoreHistogram) -> list[float]:
     """Window contents, oldest first."""
-    if histogram._size < histogram.capacity:
-        return histogram._buf[: histogram._size].tolist()
-    return np.roll(histogram._buf, -histogram._next).tolist()
+    return histogram._window.tolist()
 
 
 def pool_entries(prio: prioritizers.PoolImportancePrioritizer) -> list[tuple[int, float]]:

@@ -115,6 +115,26 @@ class TestTrainCommand:
         run = json.loads((tmp_path / "o" / "seed_1" / "run.json").read_text())
         assert run == {"seed": 1, "status": "diverged"}
 
+    def test_update_that_leaves_a_parameter_non_finite_diverges(self, tmp_path, capsys):
+        # weight decay overflows after sgd_step's gradient check: this run
+        # used to exit 0 with "status": "ok" and checkpoint infinities
+        cfg = write_config(tmp_path, {
+            "dataset": {"num_train": 96, "num_test": 20, "num_classes": 2, "feature_dim": 4},
+            "trainer": {"hidden_layers": [8], "batch_size": 32, "total_epochs": 1,
+                        "learning_rate": 1e-294, "weight_decay": 1e300},
+            "seeds": [1],
+            "eval_every": 64,
+        })
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == "seed 1: 96 backprops, best test error 0.5500 [diverged]\n"
+        run = json.loads((out / "seed_1" / "run.json").read_text())
+        assert run == {"seed": 1, "status": "diverged"}
+        # the update that diverged counts as made, and the model is what it left
+        assert (out / "seed_1" / "metrics.csv").read_text().splitlines()[-1].startswith("2,96,")
+        with np.load(out / "seed_1" / "model.npz") as model:
+            assert not np.isfinite(model["w0"]).all()
+
     def test_run_without_evaluations_exits_two_naming_the_seed(self, tmp_path, capsys):
         # 300 examples fill 4 batches of 64: 256 backprops, never the 512 of
         # the first evaluation; this used to print "best test error nan" and exit 0

@@ -41,15 +41,17 @@ def brute_force_cdf(window, score):
 
 
 class TestScoreHistogram:
-    def test_matches_brute_force_on_random_streams(self):
-        # each score ranks against the window right after its own insertion
+    @pytest.mark.parametrize("capacity", [16, 10**12])
+    def test_matches_brute_force_on_random_streams(self, capacity):
+        # each score ranks against the window right after its own insertion;
+        # a capacity no array could hold is never allocated, and never fills
         rng = np.random.default_rng(0)
-        hist = ScoreHistogram(capacity=16)
+        hist = ScoreHistogram(capacity=capacity)
         window = []
         for step in range(200):
             chunk = rng.random(int(rng.integers(1, 40)))
             for score, cdf in zip(chunk.tolist(), hist.insert_many(chunk).tolist()):
-                window = (window + [score])[-16:]
+                window = (window + [score])[-capacity:]
                 assert cdf == brute_force_cdf(window, score)
         assert histogram_window(hist) == window
 
