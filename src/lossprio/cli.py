@@ -54,7 +54,7 @@ def _resolve_output_dir(cli_out: str | None, config_out: str | None, fallback_na
 _Job = namedtuple("_Job", "cfg corruption prio seed run_dir snapshot")
 
 
-def _run_job(job: _Job, cells: dict):
+def _run_job(job: _Job, cells: dict, spare_core: bool):
     """Train one job on its cell's splits, rebuilt unless they are the last built."""
     if cells.get("key") != (job.cfg.dataset, job.corruption):
         cells.clear()  # drop the last cell's splits before building the next
@@ -67,7 +67,7 @@ def _run_job(job: _Job, cells: dict):
     prio = replace(job.prio, seed=job.prio.seed + job.seed)
     metrics = run_training(
         train, test, trainer, prio, job.cfg.eval_every,
-        checkpoint_path=job.run_dir / "model.npz",
+        checkpoint_path=job.run_dir / "model.npz", spare_core=spare_core,
     )
     save_run(metrics, job.run_dir)
     return metrics
@@ -76,15 +76,14 @@ def _run_job(job: _Job, cells: dict):
 _worker_claims = None  # a worker's claims, which reach it only through its initializer
 
 
-def _start_process(spare_core: bool, claims=None) -> None:
-    """Ready this process, or a worker given its claims, to run jobs:
-    say whether it has a core to spare, and run numpy's bundled OpenBLAS on
-    one thread, so no job's bytes depend on the cores it finds (a numpy
-    without it is left as is).  A worker ignores SIGINT: the calling process
-    alone answers an interrupt, by claiming every job and waiting for the
-    workers' runs in progress."""
+def _start_process(claims=None) -> None:
+    """Ready this process, or a worker given its claims, to run jobs: run
+    numpy's bundled OpenBLAS on one thread, so no job's bytes depend on the
+    cores it finds (a numpy without it is left as is).  A worker ignores
+    SIGINT: the calling process alone answers an interrupt, by claiming every
+    job and waiting for the workers' runs in progress."""
     global _worker_claims
-    harness._spare_core, _worker_claims = spare_core, claims
+    _worker_claims = claims
     if claims is not None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     site = Path(np.__file__).resolve().parent.parent
@@ -106,17 +105,18 @@ def _claim(claims, i: int) -> bool:
     return free
 
 
-def _run_claimed(jobs: list[_Job], claims, order) -> dict:
+def _run_claimed(jobs: list[_Job], claims, order, spare_core: bool) -> dict:
     """{i: RunMetrics, or the exception it raised} for each job i this process
     claims first, walking the jobs in order with one cell cache.  Claims of
     None are this process's own: a worker's, from its initializer, or none in
-    a process without workers, which then runs every job."""
+    a process without workers, which then runs every job.  Each run evaluates
+    on a helper thread when spare_core says a core is spare."""
     claims = _worker_claims if claims is None else claims
     cells, runs = {}, {}
     for i in order:
         if claims is None or _claim(claims, i):
             try:
-                runs[i] = _run_job(jobs[i], cells)
+                runs[i] = _run_job(jobs[i], cells, spare_core)
             except Exception as exc:  # raised in job order by _run_seeds
                 runs[i] = exc
     return runs
@@ -137,7 +137,8 @@ def _worker_context():
     return context
 
 
-def _submit(pool: ProcessPoolExecutor, jobs: list[_Job], workers: int) -> list[Future]:
+def _submit(pool: ProcessPoolExecutor, jobs: list[_Job], workers: int,
+            spare_core: bool) -> list[Future]:
     """One future per worker, each handed the whole job list once to walk
     from the front with _run_claimed.  The workers start here, with SIGINT
     blocked as multiprocessing starts its resource tracker and fork server,
@@ -147,7 +148,8 @@ def _submit(pool: ProcessPoolExecutor, jobs: list[_Job], workers: int) -> list[F
     masked = hasattr(signal, "pthread_sigmask")  # not on Windows
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT}) if masked else None
     try:
-        return [pool.submit(_run_claimed, jobs, None, range(len(jobs))) for _ in range(workers)]
+        return [pool.submit(_run_claimed, jobs, None, range(len(jobs)), spare_core)
+                for _ in range(workers)]
     finally:
         if masked:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -166,19 +168,18 @@ def _run_seeds(jobs: list[_Job], threads: int) -> list:
     leave a core spare.  perfbench's span probes patch this function by name.
     """
     processes = min(threads, len(jobs))
-    spare_core, before = processes < harness._usable_cores(), harness._spare_core
+    spare_core = processes < harness._usable_cores()
     context = _worker_context()
     claims = context.Array("b", len(jobs)) if processes > 1 else None
-    _start_process(spare_core)
+    _start_process()
     pool = ProcessPoolExecutor(processes - 1, mp_context=context, initializer=_start_process,
-                               initargs=(spare_core, claims)) if processes > 1 else None
+                               initargs=(claims,)) if processes > 1 else None
     try:
-        futures = _submit(pool, jobs, processes - 1) if pool else []
-        done = _run_claimed(jobs, claims, reversed(range(len(jobs))))
+        futures = _submit(pool, jobs, processes - 1, spare_core) if pool else []
+        done = _run_claimed(jobs, claims, reversed(range(len(jobs))), spare_core)
         for future in futures:  # each ends after the runs its worker claimed
             done.update(future.result())
     finally:
-        harness._spare_core = before
         if pool is not None:
             claims[:] = [1] * len(jobs)  # after an interrupt, no worker starts a job
             pool.shutdown()

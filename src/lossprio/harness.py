@@ -92,21 +92,12 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# Whether this process has a core to spare, so run_training evaluates on a
-# helper thread.  A direct library call runs in one process; cli._run_seeds
-# sets this from the number of processes it runs at once.  Without a spare
-# core the helper would compete with training, so evaluation stays inline on
-# the live parameters, uncopied.
-_spare_core = _usable_cores() > 1
-
-
-def evaluate_error(params, features, labels, workspace: Workspace | None = None) -> float:
+def evaluate_error(params, features, labels, workspace: Workspace) -> float:
     """Fraction of examples misclassified, EVAL_CHUNK rows per forward without
-    labels; a workspace must hold that many rows, and a call given none makes one."""
+    labels; the workspace must hold min(EVAL_CHUNK, len(labels)) rows."""
     n = len(labels)
     if n == 0:
         raise ConfigurationError("cannot evaluate on an empty split")
-    workspace = workspace or Workspace(params, min(EVAL_CHUNK, n))
     wrong = 0
     for start in range(0, n, EVAL_CHUNK):
         stop = min(start + EVAL_CHUNK, n)
@@ -119,7 +110,7 @@ def _error_or_none(params, features, labels, workspace) -> float | None:
     """evaluate_error, or None when a forward overflows."""
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return evaluate_error(params, features, labels, workspace=workspace)
+            return evaluate_error(params, features, labels, workspace)
     except FloatingPointError:
         return None
 
@@ -127,24 +118,25 @@ def _error_or_none(params, features, labels, workspace) -> float | None:
 class _Evaluations:
     """A run's test error at each evaluation point, recorded into its metrics.
 
-    Evaluations take a workspace of their own.  When this process has a core
-    to spare, one helper thread evaluates a copy of the parameters while the
-    run trains on; the result is recorded when the next copy is handed off or
-    the run finishes, at the iteration it was taken.  Otherwise each
-    evaluation runs at once on the run's own parameters.  An evaluation that
-    overflows rolls the run back to its update, as if the run had stopped
-    there: it truncates the run's batch record, restores the parameters it
-    evaluated, and raises TrainingDivergedError.
+    Evaluations take a workspace of their own.  Given a core to spare, one
+    helper thread evaluates a copy of the parameters while the run trains on;
+    the result is recorded when the next copy is handed off or the run
+    finishes, at the iteration it was taken.  Otherwise the helper would
+    compete with training, so each evaluation runs at once on the run's own
+    parameters, uncopied.  An evaluation that overflows rolls the run back to
+    its update, as if the run had stopped there: it truncates the run's batch
+    record, restores the parameters it evaluated, and raises
+    TrainingDivergedError.
     """
 
-    def __init__(self, params, test_feats, test_labels, metrics: RunMetrics, record: list):
+    def __init__(self, params, test: Dataset, metrics: RunMetrics, record: list,
+                 spare_core: bool):
         self.live, self.metrics, self.record = params, metrics, record
         self.pending = None  # (iteration, future) of the evaluation in flight
-        self.params = params.copy() if _spare_core else params
+        self.params = params.copy() if spare_core else params
         self.pool = (ThreadPoolExecutor(1, thread_name_prefix="lossprio-eval")
-                     if _spare_core else None)
-        self.args = (self.params, test_feats, test_labels,
-                     Workspace(params, min(len(test_labels), EVAL_CHUNK)))
+                     if spare_core else None)
+        self.args = (self.params, *test.stack(), Workspace(params, min(len(test), EVAL_CHUNK)))
 
     def hand_off(self) -> None:
         """Evaluate the parameters as they stand after the last emitted batch."""
@@ -186,16 +178,18 @@ def run_training(
     *,
     batch_log: list | None = None,
     checkpoint_path=None,
+    spare_core: bool = _usable_cores() > 1,
 ) -> RunMetrics:
     """Train for trainer_cfg.total_epochs passes over the candidate stream.
 
     Candidate batches all have exactly batch_size examples; the trailing
     remainder of each shuffled epoch is skipped so prioritizers never see a
     partial batch.  On divergence the partial metrics are returned with
-    the diverged flag set instead of raising.  When this process has a core
-    to spare, test error is taken on one helper thread while training goes
-    on; every output is the same either way.  The run's batches are added to
-    batch_log, after any entries it holds, when the run returns.
+    the diverged flag set instead of raising.  Given a core to spare, test
+    error is taken on one helper thread while training goes on; every output
+    is the same either way.  By default a core is spare when this process may
+    use more than one.  The run's batches are added to batch_log, after any
+    entries it holds, when the run returns.
     """
     if train.num_classes != test.num_classes or train.feature_dim != test.feature_dim:
         raise ConfigurationError("train and test splits disagree on classes or width")
@@ -208,7 +202,6 @@ def run_training(
         )
 
     feats, labels = train.stack()
-    test_feats, test_labels = test.stack()
 
     rng = np.random.default_rng(trainer_cfg.seed)
     arch = [train.feature_dim, *trainer_cfg.hidden_layers, train.num_classes]
@@ -223,7 +216,7 @@ def run_training(
     record: list = []
     next_eval = eval_every
     batches_per_epoch = len(train) // batch
-    evaluations = _Evaluations(params, test_feats, test_labels, metrics, record)
+    evaluations = _Evaluations(params, test, metrics, record, spare_core)
 
     try:
         # the finite checks below and the evaluations' own errstate catch every

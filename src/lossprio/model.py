@@ -116,11 +116,11 @@ class Workspace:
     gathered from a split, each layer's activations, the back-propagated
     deltas, the flat gradient and one block of the weight-decay term.
 
-    Calls take the first n rows of each buffer, so one workspace serves any
-    batch of at most ``rows`` examples; a call given none makes its own, sized
-    to its batch.  Whatever a call returns that lives in the workspace (a
-    ForwardResult's probabilities, say) is overwritten by the next call given
-    it, so two threads must never share one.
+    Each call takes its caller's workspace and uses the first n rows of each
+    buffer, so one workspace serves any batch of at most ``rows`` examples.
+    Whatever a call returns that lives in the workspace (a ForwardResult's
+    probabilities, say) is overwritten by the next call given it, so two
+    threads must never share one.
     """
 
     def __init__(self, params: ModelParams, rows: int):
@@ -171,7 +171,7 @@ def _log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward(params: ModelParams, features: np.ndarray, labels: np.ndarray | None,
-            workspace: Workspace | None = None) -> ForwardResult:
+            workspace: Workspace) -> ForwardResult:
     """Score a batch without touching any state but the workspace's.
 
     The batch is rows of a Dataset that matches the model: float64 features
@@ -180,7 +180,6 @@ def forward(params: ModelParams, features: np.ndarray, labels: np.ndarray | None
     Without labels only the predictions are computed, and the logits' row
     maxima subtracted: the one log-softmax step that can overflow.
     """
-    workspace = workspace or Workspace(params, len(features))
     logits = _activations(params, features, workspace)[-1]
     predictions = logits.argmax(axis=1)
     if labels is None:
@@ -192,11 +191,10 @@ def forward(params: ModelParams, features: np.ndarray, labels: np.ndarray | None
 
 
 def _backward(params: ModelParams, features, labels,
-              workspace: Workspace | None = None) -> tuple[float, ModelParams]:
+              workspace: Workspace) -> tuple[float, ModelParams]:
     """Mean cross-entropy over the batch and its gradient, laid out like params;
     the gradient is the workspace's."""
     batch = len(features)
-    workspace = workspace or Workspace(params, batch)
     rows = np.arange(batch)
     acts = _activations(params, features, workspace)
     logp = _log_softmax(acts[-1])
@@ -234,7 +232,7 @@ def init_sgd_state(params: ModelParams) -> SGDState:
 
 
 def sgd_step(params: ModelParams, features, labels, cfg: TrainerConfig, state: SGDState,
-             lr: float, workspace: Workspace | None = None) -> float:
+             lr: float, workspace: Workspace) -> float:
     """One momentum SGD update on a batch, in place.  Returns the batch loss.
 
     Update order: weight decay is added to the gradient, the result is folded
@@ -242,7 +240,6 @@ def sgd_step(params: ModelParams, features, labels, cfg: TrainerConfig, state: S
     block of SGD_BLOCK parameters at a time.  Nothing changes when the loss or
     the gradient is not finite.
     """
-    workspace = workspace or Workspace(params, len(features))
     loss, grad = _backward(params, features, labels, workspace)
     if not (math.isfinite(loss) and np.isfinite(grad.vector).all()):
         raise TrainingDivergedError("non-finite loss or gradient", iteration=state.updates)
@@ -269,14 +266,16 @@ def gradient_check(params: ModelParams, features, labels, epsilon: float = 1e-4)
     if not 1e-6 <= epsilon <= 1e-3:
         raise ConfigurationError("epsilon outside the stable range [1e-6, 1e-3]")
     base = params.vector
-    analytic = _backward(params, features, labels)[1].vector
+    workspace = Workspace(params, len(features))
+    # every pass below writes its gradient over this one
+    analytic = _backward(params, features, labels, workspace)[1].vector.copy()
     probe = params.copy()
     worst = 0.0
     for c in range(base.size):
         probe.vector[c] = base[c] + epsilon
-        up = _backward(probe, features, labels)[0]
+        up = _backward(probe, features, labels, workspace)[0]
         probe.vector[c] = base[c] - epsilon
-        down = _backward(probe, features, labels)[0]
+        down = _backward(probe, features, labels, workspace)[0]
         probe.vector[c] = base[c]
         numeric = (up - down) / (2.0 * epsilon)
         denom = max(abs(analytic[c]), abs(numeric))

@@ -656,8 +656,8 @@ class TestInterrupt:
         context = cli._worker_context()
         claims = context.Array("b", [1])  # taken, so the worker runs no job
         with ProcessPoolExecutor(1, mp_context=context, initializer=cli._start_process,
-                                 initargs=(False, claims)) as pool:
-            assert [future.result() for future in cli._submit(pool, [None], 1)] == [{}]
+                                 initargs=(claims,)) as pool:
+            assert [future.result() for future in cli._submit(pool, [None], 1, False)] == [{}]
             mask = pool.submit(signal.pthread_sigmask, signal.SIG_BLOCK, []).result()
             assert signal.SIGINT in mask
             assert pool.submit(signal.getsignal, signal.SIGINT).result() == signal.SIG_IGN
@@ -697,12 +697,12 @@ def test_runs_evaluate_on_a_helper_only_while_a_core_is_spare(tmp_path, monkeypa
     seen, workers, submits = [], [], []
     run_training = cli.run_training
 
-    class IdlePool:  # records what its workers are told and runs nothing itself
+    class IdlePool:  # records what its workers are handed and runs nothing itself
         def __init__(self, *args, initargs, **kwargs):
-            workers.append(initargs[0])
+            workers.append(initargs)
 
-        def submit(self, *args):
-            submits.append(args)
+        def submit(self, fn, *args):
+            submits.append(args[-1])  # the spare_core the worker's runs receive
             future = Future()  # a worker that found every run claimed
             future.set_result({})
             return future
@@ -712,16 +712,14 @@ def test_runs_evaluate_on_a_helper_only_while_a_core_is_spare(tmp_path, monkeypa
 
     monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
     monkeypatch.setattr(cli, "run_training",
-                        lambda *a, **k: seen.append(harness._spare_core) or run_training(*a, **k))
+                        lambda *a, **k: seen.append(k["spare_core"]) or run_training(*a, **k))
     monkeypatch.setattr(cli, "ProcessPoolExecutor", IdlePool)
-    before = harness._spare_core
     cfg = write_config(tmp_path, SMALL_EXPERIMENT)  # two seeds
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"),
                  "--threads", threads]) == 0
     assert seen == [spare, spare]
-    assert workers == ([spare] if threads == "2" else [])
-    assert len(submits) == len(workers)  # one task per worker, not one per run
-    assert harness._spare_core == before
+    assert len(workers) == (1 if threads == "2" else 0)
+    assert submits == [spare] * len(workers)  # one task per worker, not one per run
 
 
 @pytest.mark.skipif("forkserver" not in multiprocessing.get_all_start_methods(),

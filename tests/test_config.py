@@ -26,6 +26,12 @@ from lossprio.model import TrainerConfig
 from lossprio.prioritizers import PRIORITIZER_KINDS, PrioritizerConfig
 
 
+def named_by_command_and_json(cases):
+    """Each (command, raw, ...) case as a param named by its command and the
+    JSON of raw, so a case keeps its id when others are added or removed."""
+    return [pytest.param(*case, id=f"{case[0]} {json.dumps(case[1])}") for case in cases]
+
+
 class TestExperimentParsing:
     def test_empty_dict_is_all_defaults(self):
         cfg = experiment_config_from_dict({})
@@ -73,7 +79,7 @@ class TestExperimentParsing:
 
     @pytest.mark.parametrize(
         "command, raw, where",
-        [
+        named_by_command_and_json([
             ("benchmark", {"corruption_grid": [["gaussian", 0.5, 1]]}, r"corruption_grid\[0\]"),
             ("benchmark", {"corruption_grid": [["salt", 0.5]]},
              r"corruption_grid\[0\] = \['salt', 0.5\]: kind: unknown corruption kind 'salt'"),
@@ -177,7 +183,7 @@ class TestExperimentParsing:
              r"json\.dataset: cluster_spread nan: must be positive\n\Z"),
             ("benchmark", {"dataset": {"cluster_spread": math.inf}},
              r"json\.dataset: cluster_spread inf: must be finite\n\Z"),
-        ],
+        ]),
     )
     def test_malformed_config_exits_two_with_location(self, tmp_path, capsys, command, raw,
                                                       where):
@@ -191,10 +197,12 @@ class TestExperimentParsing:
 
     @pytest.mark.parametrize(
         "command, raw, flag, where",
-        [("train", {}, "-2", "--seed -2: seeds[0] = -2: must be nonnegative"),
-         ("benchmark", {}, "3,-1", "--seed 3,-1: seeds[1] = -1: must be nonnegative"),
-         ("train", {"prioritizer": {"seed": -3}, "seeds": [5]}, "2",
-          "--seed 2: prioritizer.seed -3 plus run seed 2 is negative")],
+        named_by_command_and_json([
+            ("train", {}, "-2", "--seed -2: seeds[0] = -2: must be nonnegative"),
+            ("benchmark", {}, "3,-1", "--seed 3,-1: seeds[1] = -1: must be nonnegative"),
+            ("train", {"prioritizer": {"seed": -3}, "seeds": [5]}, "2",
+             "--seed 2: prioritizer.seed -3 plus run seed 2 is negative"),
+        ]),
     )
     def test_negative_seed_flag_exits_two_naming_the_flag(self, tmp_path, capsys, command,
                                                           raw, flag, where):
@@ -226,7 +234,7 @@ class TestExperimentParsing:
 
     @pytest.mark.parametrize(
         "command, raw, where",
-        [
+        named_by_command_and_json([
             ("train", {"prioritizer": {"kind": "sb_loss", "histogram_capacity": 32}},
              "prioritizer: histogram_capacity 32 smaller than batch_size 64"),
             ("train", {"prioritizer": {"kind": "vr", "pool_capacity": 48}},
@@ -234,7 +242,7 @@ class TestExperimentParsing:
             ("benchmark", {"variants": [{"kind": "uniform"},
                                         {"kind": "sb_entropy", "histogram_capacity": 32}]},
              "variants[1]: histogram_capacity 32 smaller than batch_size 64"),
-        ],
+        ]),
     )
     def test_capacity_below_batch_exits_two_before_writing(self, tmp_path, capsys,
                                                           command, raw, where):

@@ -125,7 +125,7 @@ class TestRunTraining:
         # feed wrapped after make_prioritizer, as perfbench/layers.py wraps it
         scored, fed = [], []
 
-        def recording_forward(params, features, labels, workspace=None):
+        def recording_forward(params, features, labels, workspace):
             out = forward(params, features, labels, workspace)
             if labels is not None:  # a scoring forward; evaluations pass none
                 scored.append((out.losses.copy(), out.probabilities.copy()))
@@ -278,22 +278,23 @@ class TestEvaluateError:
             b[:] = 0.0
         feats = np.ones((6, 4))
         labels = np.array([0, 0, 1, 2, 1, 0])
-        assert evaluate_error(params, feats, labels) == pytest.approx(0.5)
+        assert evaluate_error(params, feats, labels, Workspace(params, 6)) == pytest.approx(0.5)
 
     def test_chunking_does_not_change_result(self, monkeypatch):
         rng = np.random.default_rng(11)
         params = init_params([4, 3], 1)
         feats = rng.normal(size=(37, 4))
         labels = rng.integers(0, 3, size=37)
-        full = evaluate_error(params, feats, labels)
+        full = evaluate_error(params, feats, labels, Workspace(params, 37))
         monkeypatch.setattr(harness, "EVAL_CHUNK", 5)
-        chunked = evaluate_error(params, feats, labels)
+        chunked = evaluate_error(params, feats, labels, Workspace(params, 5))
         assert full == chunked
 
     def test_empty_split_rejected(self):
         params = init_params([4, 3], 0)
         with pytest.raises(ConfigurationError):
-            evaluate_error(params, np.empty((0, 4)), np.empty(0, dtype=int))
+            evaluate_error(params, np.empty((0, 4)), np.empty(0, dtype=int),
+                           Workspace(params, 0))
 
     def test_matches_the_full_forwards_predictions(self):
         # two chunks, the second of 7 rows, against one labelled forward
@@ -301,12 +302,13 @@ class TestEvaluateError:
         n = harness.EVAL_CHUNK + 7
         params = init_params([8, 16, 5], 2)
         feats, labels = rng.normal(size=(n, 8)), rng.integers(5, size=n)
-        wrong = forward(params, feats, labels).predictions != labels
-        assert evaluate_error(params, feats, labels) == wrong.sum() / n
+        wrong = forward(params, feats, labels, Workspace(params, n)).predictions != labels
+        workspace = Workspace(params, harness.EVAL_CHUNK)
+        assert evaluate_error(params, feats, labels, workspace) == wrong.sum() / n
         # all-equal logits: the argmax takes class 0
         params.weights[-1][:] = 0.0
         params.biases[-1][:] = 0.0
-        assert evaluate_error(params, feats, labels) == np.count_nonzero(labels) / n
+        assert evaluate_error(params, feats, labels, workspace) == np.count_nonzero(labels) / n
 
 
 # (layer, "w" or "b", value) entries set, one per flat index from 0, and
@@ -349,7 +351,7 @@ def test_evaluation_overflows_where_the_full_forward_does(name):
         assert got is None
     else:
         with np.errstate(all="ignore"):
-            wrong = forward(params, feats, labels).predictions != labels
+            wrong = forward(params, feats, labels, Workspace(params, 40)).predictions != labels
         assert got == wrong.sum() / len(labels)
 
 
@@ -635,18 +637,17 @@ def helper_cases():
     }
 
 
-def run_on(helper, case, tmp_path, monkeypatch):
+def run_on(helper, case, tmp_path):
     """Everything a run returns and writes, with or without the helper thread.
 
     The run's picks and corrupted shares must agree with the batches it
     logged after an entry the log already held.
     """
-    monkeypatch.setattr(harness, "_spare_core", helper)
     train, test, trainer, prio, eval_every = case
     sentinel = ["logged before the run"]
     log, path = [sentinel], tmp_path / f"model_{helper}.npz"
     m = run_training(train, test, trainer, prio, eval_every, batch_log=log,
-                     checkpoint_path=path)
+                     checkpoint_path=path, spare_core=helper)
     assert log[0] is sentinel
     log = log[1:]
     batches = np.array(log, dtype=np.int64).reshape(-1, trainer.batch_size)
@@ -662,10 +663,9 @@ def eval_threads():
 
 
 @pytest.mark.parametrize("name", list(helper_cases()))
-def test_helper_thread_gives_the_serial_run(name, tmp_path, monkeypatch, capfd):
+def test_helper_thread_gives_the_serial_run(name, tmp_path, capfd):
     case = helper_cases()[name]
-    assert run_on(True, case, tmp_path, monkeypatch) == run_on(False, case, tmp_path,
-                                                               monkeypatch)
+    assert run_on(True, case, tmp_path) == run_on(False, case, tmp_path)
     assert eval_threads() == []
     assert capfd.readouterr().err == ""  # no overflow warning from either thread
 
@@ -684,9 +684,9 @@ def test_late_overflow_rolls_the_run_back_to_its_evaluation(tmp_path, monkeypatc
 
     monkeypatch.setattr(harness, "evaluate_error", third_overflows)
     case = helper_cases()["vr"]
-    helped = run_on(True, case, tmp_path, monkeypatch)
+    helped = run_on(True, case, tmp_path)
     calls.clear()
-    assert helped == run_on(False, case, tmp_path, monkeypatch)
+    assert helped == run_on(False, case, tmp_path)
     metrics, log, _ = helped
     # diverged at the third evaluation's batch, two batches of 32 after the second
     assert metrics[-1] and len(metrics[4]) == 2
@@ -707,21 +707,20 @@ def test_helper_stops_when_the_loop_raises(monkeypatch):
         return prio
 
     monkeypatch.setattr(harness, "make_prioritizer", failing_selector)
-    monkeypatch.setattr(harness, "_spare_core", True)
     train, test, trainer, prio, _ = helper_cases()["uniform"]
     with pytest.raises(ZeroDivisionError):
-        run_training(train, test, trainer, prio, eval_every=32)
+        run_training(train, test, trainer, prio, eval_every=32, spare_core=True)
     assert eval_threads() == []
 
 
-def test_helper_holds_under_constant_thread_switches(tmp_path, monkeypatch):
+def test_helper_holds_under_constant_thread_switches(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for name, case in helper_cases().items():
-            serial = run_on(False, case, tmp_path, monkeypatch)
+            serial = run_on(False, case, tmp_path)
             for _ in range(3):
-                assert run_on(True, case, tmp_path, monkeypatch) == serial, name
+                assert run_on(True, case, tmp_path) == serial, name
     finally:
         sys.setswitchinterval(interval)
     assert eval_threads() == []

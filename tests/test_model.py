@@ -34,7 +34,7 @@ class TestForward:
             [np.zeros((5, 16)), np.zeros((16, 10))],
             [np.zeros(16), np.zeros(10)],
         )
-        result = forward(params, np.ones((3, 5)), np.array([0, 4, 9]))
+        result = forward(params, np.ones((3, 5)), np.array([0, 4, 9]), Workspace(params, 3))
         np.testing.assert_allclose(result.probabilities, 0.1, atol=1e-15)
         np.testing.assert_allclose(result.losses, math.log(10), rtol=1e-12)
 
@@ -47,7 +47,8 @@ class TestForward:
         z1 = 1.0 * -0.25 + 2.0 * 0.3 - 0.1
         e0, e1 = math.exp(z0), math.exp(z1)
         p0 = e0 / (e0 + e1)
-        result = forward(_linear_params(w, b), x, np.array([0]))
+        params = _linear_params(w, b)
+        result = forward(params, x, np.array([0]), Workspace(params, 1))
         np.testing.assert_allclose(result.probabilities[0], [p0, 1 - p0], rtol=1e-14)
         np.testing.assert_allclose(result.losses[0], -math.log(p0), rtol=1e-14)
         assert result.predictions[0] == (0 if p0 > 0.5 else 1)
@@ -55,13 +56,14 @@ class TestForward:
     def test_distributions_sum_to_one(self):
         rng = np.random.default_rng(2)
         params = init_params([6, 12, 4], rng)
-        result = forward(params, rng.standard_normal((50, 6)), rng.integers(4, size=50))
+        result = forward(params, rng.standard_normal((50, 6)), rng.integers(4, size=50),
+                         Workspace(params, 50))
         np.testing.assert_allclose(result.probabilities.sum(axis=1), 1.0, rtol=1e-12)
         assert (result.losses >= 0).all()
 
     def test_extreme_logits_stay_finite(self):
         params = _linear_params([[1000.0, -1000.0]], [0.0, 0.0])
-        result = forward(params, np.array([[1.0]]), np.array([1]))
+        result = forward(params, np.array([[1.0]]), np.array([1]), Workspace(params, 1))
         assert np.isfinite(result.losses).all()
         assert np.isfinite(result.probabilities).all()
 
@@ -100,7 +102,7 @@ class TestBackwardAndUpdate:
         params = _linear_params(w.copy(), b.copy())
         cfg = TrainerConfig(momentum=0.0, weight_decay=0.0)
         state = init_sgd_state(params)
-        sgd_step(params, X, y, cfg, state, lr=0.5)
+        sgd_step(params, X, y, cfg, state, lr=0.5, workspace=Workspace(params, 6))
         np.testing.assert_allclose(params.weights[0], w - 0.5 * grad_w, rtol=1e-12)
         np.testing.assert_allclose(params.biases[0], b - 0.5 * grad_b, rtol=1e-12)
 
@@ -114,14 +116,15 @@ class TestBackwardAndUpdate:
         expect_w = np.array([[2.0, -1.0]])
         expect_b = np.array([0.0, 0.0])
         vel_w, vel_b = np.zeros((1, 2)), np.zeros(2)
+        workspace = Workspace(params, 1)
         for _ in range(2):
             ref = ModelParams([expect_w.copy()], [expect_b.copy()])
-            grad = _backward(ref, X, y)[1]
+            grad = _backward(ref, X, y, Workspace(ref, 1))[1]
             vel_w = 0.5 * vel_w + (grad.weights[0] + 0.1 * expect_w)
             vel_b = 0.5 * vel_b + (grad.biases[0] + 0.1 * expect_b)
             expect_w = expect_w - 0.2 * vel_w
             expect_b = expect_b - 0.2 * vel_b
-            sgd_step(params, X, y, cfg, state, lr=0.2)
+            sgd_step(params, X, y, cfg, state, lr=0.2, workspace=workspace)
         np.testing.assert_allclose(params.weights[0], expect_w, rtol=1e-12)
         np.testing.assert_allclose(params.biases[0], expect_b, rtol=1e-12)
 
@@ -135,24 +138,26 @@ class TestBackwardAndUpdate:
         vel_w = [np.zeros_like(w) for w in ref_w]
         vel_b = [np.zeros_like(b) for b in ref_b]
         cfg = TrainerConfig(momentum=0.9, weight_decay=0.01)
-        state = init_sgd_state(params)
+        state, workspace = init_sgd_state(params), Workspace(params, 11)
         for step, lr in enumerate((0.3, 0.3, 0.1, 0.05, 0.05, 0.01)):
             X, y = rng.standard_normal((11, 6)), rng.integers(4, size=11)
-            ref_loss, grad = _backward(ModelParams(ref_w, ref_b), X, y)
+            ref = ModelParams(ref_w, ref_b)
+            ref_loss, grad = _backward(ref, X, y, Workspace(ref, 11))
             gw, gb = grad.weights, grad.biases
             for i in range(len(ref_w)):
                 vel_w[i] = cfg.momentum * vel_w[i] + (gw[i] + cfg.weight_decay * ref_w[i])
                 vel_b[i] = cfg.momentum * vel_b[i] + (gb[i] + cfg.weight_decay * ref_b[i])
                 ref_w[i] = ref_w[i] - lr * vel_w[i]
                 ref_b[i] = ref_b[i] - lr * vel_b[i]
-            assert sgd_step(params, X, y, cfg, state, lr) == ref_loss
+            assert sgd_step(params, X, y, cfg, state, lr, workspace) == ref_loss
             for got, want in zip(params.weights + params.biases, ref_w + ref_b):
                 assert np.array_equal(got, want), f"step {step}"
         assert np.shares_memory(params.weights[1], params.vector)
 
     def test_workspace_changes_no_bit(self):
         # the same steps and forwards, written into one workspace with room
-        # for more rows than any call uses, give the bytes of allocating ones
+        # for more rows than any call uses, give the bytes of a fresh one
+        # sized to each call's batch
         rng = np.random.default_rng(14)
         plain = init_params([6, 9, 7, 4], rng)
         reused = plain.copy()
@@ -161,11 +166,12 @@ class TestBackwardAndUpdate:
         states = init_sgd_state(plain), init_sgd_state(reused)
         for rows in (11, 16, 3, 11):
             X, y = rng.standard_normal((rows, 6)), rng.integers(4, size=rows)
-            want = forward(plain, X, y)
+            want = forward(plain, X, y, Workspace(plain, rows))
             got = forward(reused, X, y, workspace)
             for field in ("losses", "probabilities", "predictions"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
-            assert (sgd_step(plain, X, y, cfg, states[0], lr=0.2)
+            assert (sgd_step(plain, X, y, cfg, states[0], lr=0.2,
+                             workspace=Workspace(plain, rows))
                     == sgd_step(reused, X, y, cfg, states[1], lr=0.2, workspace=workspace))
             assert plain.vector.tobytes() == reused.vector.tobytes()
         assert np.shares_memory(got.probabilities, workspace.acts[-1])
@@ -176,7 +182,7 @@ class TestBackwardAndUpdate:
         before = params.vector.copy()
         state = init_sgd_state(params)
         sgd_step(params, rng.standard_normal((5, 4)), rng.integers(3, size=5),
-                 TrainerConfig(), state, lr=0.0)
+                 TrainerConfig(), state, lr=0.0, workspace=Workspace(params, 5))
         assert np.array_equal(params.vector, before)
         assert state.updates == 1 and state.backprops == 5
 
@@ -191,18 +197,20 @@ class TestBackwardAndUpdate:
 
         single = init_params([5, 6, 3], 11)
         double = init_params([5, 6, 3], 11)
-        sgd_step(single, x, y, cfg, init_sgd_state(single), lr=0.3)
+        sgd_step(single, x, y, cfg, init_sgd_state(single), lr=0.3,
+                 workspace=Workspace(single, 1))
         sgd_step(double, np.vstack([x, x]), np.array([1, 1]), cfg,
-                 init_sgd_state(double), lr=0.3)
+                 init_sgd_state(double), lr=0.3, workspace=Workspace(double, 2))
         np.testing.assert_allclose(single.vector, double.vector, rtol=0, atol=1e-14)
 
     def test_backprop_counter_tracks_batch_size(self):
         rng = np.random.default_rng(8)
         params = init_params([4, 3], rng)
-        state = init_sgd_state(params)
+        state, workspace = init_sgd_state(params), Workspace(params, 7)
         for batch in (2, 7, 1):
             sgd_step(params, rng.standard_normal((batch, 4)),
-                     rng.integers(3, size=batch), TrainerConfig(), state, lr=0.01)
+                     rng.integers(3, size=batch), TrainerConfig(), state, lr=0.01,
+                     workspace=workspace)
         assert state.backprops == 10
         assert state.updates == 3
 
@@ -214,7 +222,7 @@ class TestBackwardAndUpdate:
         with np.errstate(invalid="ignore"):
             with pytest.raises(TrainingDivergedError) as exc:
                 sgd_step(params, np.ones((2, 4)), np.array([0, 1]),
-                         TrainerConfig(), state, lr=0.1)
+                         TrainerConfig(), state, lr=0.1, workspace=Workspace(params, 2))
         assert exc.value.iteration == 41
 
 
@@ -231,18 +239,20 @@ class TestBlockedUpdate:
         assert params.vector.size > 6 * model.SGD_BLOCK
         ref, velocity = params.copy(), np.zeros_like(params.vector)
         cfg, state = TrainerConfig(), init_sgd_state(params)
+        workspace, ref_workspace = Workspace(params, 16), Workspace(ref, 16)
         for lr in (0.1, 0.1, 0.05, 0.02, 0.02):
             X, y = self.batch(rng)
-            whole_vector_update(ref.vector, velocity, _backward(ref, X, y)[1].vector, cfg, lr)
-            sgd_step(params, X, y, cfg, state, lr)
+            grad = _backward(ref, X, y, ref_workspace)[1].vector
+            whole_vector_update(ref.vector, velocity, grad, cfg, lr)
+            sgd_step(params, X, y, cfg, state, lr, workspace)
             assert params.vector.tobytes() == ref.vector.tobytes()
             assert state.velocity.tobytes() == velocity.tobytes()
 
     def test_non_finite_gradient_in_the_last_block_changes_nothing(self, monkeypatch):
         rng = np.random.default_rng(22)
         params = init_params(self.ARCH, rng)
-        cfg, state = TrainerConfig(), init_sgd_state(params)
-        sgd_step(params, *self.batch(rng), cfg, state, 0.1)  # a nonzero velocity
+        cfg, state, workspace = TrainerConfig(), init_sgd_state(params), Workspace(params, 16)
+        sgd_step(params, *self.batch(rng), cfg, state, 0.1, workspace)  # a nonzero velocity
         before = params.vector.tobytes(), state.velocity.tobytes()
         backward = model._backward
 
@@ -253,7 +263,7 @@ class TestBlockedUpdate:
 
         monkeypatch.setattr(model, "_backward", last_entry_infinite)
         with pytest.raises(TrainingDivergedError) as exc:
-            sgd_step(params, *self.batch(rng), cfg, state, 0.1)
+            sgd_step(params, *self.batch(rng), cfg, state, 0.1, workspace)
         assert exc.value.iteration == 1
         assert (params.vector.tobytes(), state.velocity.tobytes()) == before
 
@@ -354,8 +364,9 @@ class TestTrainingSmoke:
         y = np.array([0] * n + [1] * n)
         params = init_params([4, 8, 2], np.random.default_rng(3))
         cfg = TrainerConfig(momentum=0.0, weight_decay=0.0, batch_size=2 * n)
-        state = init_sgd_state(params)
-        losses = [sgd_step(params, X, y, cfg, state, lr=0.5) for _ in range(500)]
+        state, workspace = init_sgd_state(params), Workspace(params, 2 * n)
+        losses = [sgd_step(params, X, y, cfg, state, lr=0.5, workspace=workspace)
+                  for _ in range(500)]
         assert all(later <= earlier + 1e-12 for earlier, later in zip(losses, losses[1:]))
         assert losses[-1] < 0.1
         assert min(i for i, l in enumerate(losses) if l < 0.1) < 500
